@@ -6,8 +6,7 @@ environmental selection.  Termination windows are measured in function
 evaluations, not generations.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,29 +66,30 @@ class _BudgetExhausted(Exception):
 
 
 def _violation(g):
-    return float(np.sum(np.maximum(g, 0.0))) if g.size else 0.0
+    return float(np.maximum(g, 0.0).sum()) if g.size else 0.0
 
 
 def lower_level_search(p: ProblemSpec, x_u, cfg: OptimizerConfig, rule: TerminationRule,
                        ledger: EvalLedger, rng=None):
     """Optimize ``f(x_u, .)`` until the task budget or stagnation window hits.
 
-    Returns ``(x_l_star, f_star)``, the feasibility-first best point found.
+    Returns ``(x_l_star, f_star)``, the feasibility-first best point found
+    (the search state's best-so-far point).  The budget must cover the
+    initial population, so that a search state always exists to report it.
     """
-    task_fes = [0]
+    if rule.fes_l_max < cfg.pop_size:
+        raise ContractViolationError(
+            f"fes_l_max={rule.fes_l_max} cannot cover a lower population of {cfg.pop_size}"
+        )
     hist = []  # raw objective value of every evaluation, in FE order
-    best = {"x": None, "f": math.inf, "v": math.inf}
+    budget = rule.fes_l_max
 
     def objective(x_l):
-        if task_fes[0] >= rule.fes_l_max:
+        if len(hist) >= budget:
             raise _BudgetExhausted
         f, g, _feas = evaluate_lower(p, x_u, x_l, ledger)
-        task_fes[0] += 1
-        v = _violation(g)
         hist.append(f)
-        if _ff_key(f, v) < _ff_key(best["f"], best["v"]):
-            best["x"], best["f"], best["v"] = np.array(x_l), f, v
-        return f, v
+        return f, _violation(g)
 
     # The stagnation window watches the raw evaluated objective values: it
     # fires only when every candidate sampled in the last window lands within
@@ -99,15 +99,15 @@ def lower_level_search(p: ProblemSpec, x_u, cfg: OptimizerConfig, rule: Terminat
     # the population is still spread out, leaving large unresolved residuals
     # that poison the upper-level objective.
     w = rule.fes_l_var_window
+    state = init_search(cfg, p.lower_bounds, objective, rng=rng)
     try:
-        state = init_search(cfg, p.lower_bounds, objective, rng=rng)
-        while task_fes[0] < rule.fes_l_max:
+        while len(hist) < budget:
             if len(hist) >= w and max(hist[-w:]) - min(hist[-w:]) < rule.lower_var_eps:
                 break
             step(state, objective)
     except _BudgetExhausted:
         pass
-    return best["x"], best["f"]
+    return state.best
 
 
 def resolve_individual(p: ProblemSpec, x_u, cfg, ledger, rng) -> UpperIndividual:

@@ -66,6 +66,7 @@ class SearchState:
     def __init__(self, config, bounds, rng):
         self.config = config
         self.bounds = np.asarray(bounds, dtype=float)
+        self.low, self.high = self.bounds[:, 0], self.bounds[:, 1]
         self.dim = len(self.bounds)
         self.rng = rng
         self.generation = 0
@@ -94,22 +95,23 @@ class SearchState:
         fit = np.empty(len(X))
         viol = np.empty(len(X))
         for i, x in enumerate(X):
-            fit[i], viol[i] = objective(x)
-            self._consider(x, fit[i], viol[i])
+            f, v = objective(x)
+            fit[i] = f
+            viol[i] = v
+            self._consider(x, f, v)
         return fit, viol
 
 
 class DEState(SearchState):
     def _init_population(self, objective):
-        low, high = self.bounds[:, 0], self.bounds[:, 1]
         n = self.config.pop_size
-        self.population = self.rng.uniform(low, high, size=(n, self.dim))
+        self.population = self.rng.uniform(self.low, self.high, size=(n, self.dim))
         self.fitness, self.violation = self._evaluate_all(self.population, objective)
 
     def _step(self, objective):
         cfg = self.config
         n = cfg.pop_size
-        low, high = self.bounds[:, 0], self.bounds[:, 1]
+        low, high = self.low, self.high
         for i in range(n):
             idx = self.rng.choice(n - 1, size=3, replace=False)
             idx[idx >= i] += 1
@@ -133,10 +135,9 @@ class CmaState(SearchState):
     def _init_population(self, objective):
         cfg = self.config
         d = self.dim
-        low, high = self.bounds[:, 0], self.bounds[:, 1]
-        widths = high - low
+        widths = self.high - self.low
         n = cfg.pop_size
-        self.population = self.rng.uniform(low, high, size=(n, d))
+        self.population = self.rng.uniform(self.low, self.high, size=(n, d))
         self.fitness, self.violation = self._evaluate_all(self.population, objective)
 
         lam = n
@@ -152,6 +153,11 @@ class CmaState(SearchState):
         self.cmu = min(1 - self.c1, 2 * (self.mueff - 2 + 1 / self.mueff) / ((d + 2) ** 2 + self.mueff))
         self.damps = 1 + 2 * max(0.0, math.sqrt((self.mueff - 1) / (d + 1)) - 1) + self.cs
         self.chi_n = math.sqrt(d) * (1 - 1 / (4 * d) + 1 / (21 * d * d))
+        # per-generation constants of the path and covariance updates
+        self.ps_gain = math.sqrt(self.cs * (2 - self.cs) * self.mueff)
+        self.pc_gain = math.sqrt(self.cc * (2 - self.cc) * self.mueff)
+        self.hsig_limit = (1.4 + 2 / (d + 1)) * self.chi_n
+        self.C_decay = 1 - self.c1 - self.cmu
 
         mean_width = float(np.mean(widths))
         self.sigma = cfg.cma_sigma0 * mean_width
@@ -169,44 +175,41 @@ class CmaState(SearchState):
         self.eigvals = vals
         self.B = vecs
         self.D = np.sqrt(vals)
-        self.C = vecs @ np.diag(vals) @ vecs.T
-        self.inv_sqrt_C = vecs @ np.diag(1.0 / self.D) @ vecs.T
+        self.BD = vecs * self.D
+        # scaling the columns of B equals B @ diag(.), without the dense diagonal
+        self.C = (vecs * vals) @ vecs.T
+        self.inv_sqrt_C = (vecs * (1.0 / self.D)) @ vecs.T
 
     def _step(self, objective):
         lam = self.config.pop_size
-        d = self.dim
-        low, high = self.bounds[:, 0], self.bounds[:, 1]
 
-        Z = self.rng.standard_normal((lam, d))
-        Y = Z @ (self.B * self.D).T
-        X = np.clip(self.mean + self.sigma * Y, low, high)
+        Z = self.rng.standard_normal((lam, self.dim))
+        Y = Z @ self.BD.T
+        X = np.clip(self.mean + self.sigma * Y, self.low, self.high)
         fit, viol = self._evaluate_all(X, objective)
         self.population, self.fitness, self.violation = X, fit, viol
 
-        order = sorted(range(lam), key=lambda i: _ff_key(fit[i], viol[i]))
-        sel = X[order[: self.mu]]
+        keys = [_ff_key(f, v) for f, v in zip(fit.tolist(), viol.tolist())]
+        sel = X.take(sorted(range(lam), key=keys.__getitem__)[: self.mu], axis=0)
         old_mean = self.mean
         self.mean = self.weights @ sel
         y_w = (self.mean - old_mean) / self.sigma
 
-        self.ps = (1 - self.cs) * self.ps + math.sqrt(self.cs * (2 - self.cs) * self.mueff) * (
-            self.inv_sqrt_C @ y_w
-        )
+        self.ps = (1 - self.cs) * self.ps + self.ps_gain * (self.inv_sqrt_C @ y_w)
+        ps_norm = math.sqrt(self.ps.dot(self.ps))
         gen = self.generation + 1
-        hsig = np.linalg.norm(self.ps) / math.sqrt(1 - (1 - self.cs) ** (2 * gen)) < (
-            1.4 + 2 / (d + 1)
-        ) * self.chi_n
-        self.pc = (1 - self.cc) * self.pc + hsig * math.sqrt(self.cc * (2 - self.cc) * self.mueff) * y_w
+        hsig = ps_norm / math.sqrt(1 - (1 - self.cs) ** (2 * gen)) < self.hsig_limit
+        self.pc = (1 - self.cc) * self.pc + hsig * self.pc_gain * y_w
 
         ys = (sel - old_mean) / self.sigma
         rank_mu = (self.weights[:, None] * ys).T @ ys
         delta_hsig = (1 - hsig) * self.cc * (2 - self.cc)
         self.C = (
-            (1 - self.c1 - self.cmu) * self.C
-            + self.c1 * (np.outer(self.pc, self.pc) + delta_hsig * self.C)
+            self.C_decay * self.C
+            + self.c1 * (self.pc[:, None] * self.pc + delta_hsig * self.C)
             + self.cmu * rank_mu
         )
-        self.sigma *= math.exp((self.cs / self.damps) * (np.linalg.norm(self.ps) / self.chi_n - 1))
+        self.sigma *= math.exp((self.cs / self.damps) * (ps_norm / self.chi_n - 1))
         self._decompose()
         self.generation = gen
 
@@ -225,7 +228,7 @@ def init_search(config: OptimizerConfig, bounds, objective, rng=None) -> SearchS
     return state
 
 
-def step(state: SearchState, objective, bounds=None) -> SearchState:
+def step(state: SearchState, objective) -> SearchState:
     """Advance one generation in place; returns the same state object."""
     state._step(objective)
     return state

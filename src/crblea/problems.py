@@ -14,7 +14,8 @@ Provided instances:
   form.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,6 +68,16 @@ def _check_point(p: ProblemSpec, x_u, x_l):
     return x_u, x_l
 
 
+def _checked(p: ProblemSpec, level, value, cons, x_u, x_l):
+    """Coerce one evaluation to ``(value, cons, feasible)`` after rejecting
+    non-finite results."""
+    value = float(value)
+    cons = np.asarray(cons, dtype=float)
+    if not (math.isfinite(value) and (cons.size == 0 or np.isfinite(cons).all())):
+        raise EvaluationError(f"{p.name}: non-finite {level} evaluation", x_u=x_u, x_l=x_l)
+    return value, cons, bool(cons.size == 0 or cons.max() <= 0.0)
+
+
 def evaluate_upper(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
     """Evaluate ``F`` and the upper constraints, consuming one upper-level FE.
 
@@ -75,10 +86,7 @@ def evaluate_upper(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
     x_u, x_l = _check_point(p, x_u, x_l)
     F, G = p.upper(x_u, x_l)
     ledger.count_upper()
-    G = np.asarray(G, dtype=float)
-    if not (np.isfinite(F) and np.all(np.isfinite(G))):
-        raise EvaluationError(f"{p.name}: non-finite upper evaluation", x_u=x_u, x_l=x_l)
-    return float(F), G, bool(G.size == 0 or np.max(G) <= 0.0)
+    return _checked(p, "upper", F, G, x_u, x_l)
 
 
 def evaluate_lower(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
@@ -86,10 +94,7 @@ def evaluate_lower(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
     x_u, x_l = _check_point(p, x_u, x_l)
     f, g = p.lower(x_u, x_l)
     ledger.count_lower()
-    g = np.asarray(g, dtype=float)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        raise EvaluationError(f"{p.name}: non-finite lower evaluation", x_u=x_u, x_l=x_l)
-    return float(f), g, bool(g.size == 0 or np.max(g) <= 0.0)
+    return _checked(p, "lower", f, g, x_u, x_l)
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +166,21 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
     """
     split = _smd_split(p_dim, q_dim + s_dim)
     no_con = np.empty(0)
+    # row j of others_k selects every entry of a length-k block except entry j
+    others_p, others_q, others_r = (~np.eye(k, dtype=bool) for k in (p_dim, q_dim, r_dim))
 
     def rosenbrock(v):
-        return np.sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (v[:-1] - 1.0) ** 2)
+        return (100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (v[:-1] - 1.0) ** 2).sum()
 
     if index == 1:
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            t3 = np.sum((xu2 - np.tan(xl2)) ** 2)
-            return np.sum(xu1**2) + np.sum(xl1**2) + np.sum(xu2**2) + t3, no_con
+            t3 = ((xu2 - np.tan(xl2)) ** 2).sum()
+            return (xu1**2).sum() + (xl1**2).sum() + (xu2**2).sum() + t3, no_con
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            return np.sum(xl1**2) + np.sum((xu2 - np.tan(xl2)) ** 2), no_con
+            return (xl1**2).sum() + ((xu2 - np.tan(xl2)) ** 2).sum(), no_con
 
         ub = [[-5, 10]] * (p_dim + r_dim)
         lb = [[-5, 10]] * q_dim + [[-_TAN_BOUND, _TAN_BOUND]] * r_dim
@@ -183,12 +190,12 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
     if index == 2:
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            t3 = np.sum((xu2 - np.log(xl2)) ** 2)
-            return np.sum(xu1**2) - np.sum(xl1**2) + np.sum(xu2**2) - t3, no_con
+            t3 = ((xu2 - np.log(xl2)) ** 2).sum()
+            return (xu1**2).sum() - (xl1**2).sum() + (xu2**2).sum() - t3, no_con
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            return np.sum(xl1**2) + np.sum((xu2 - np.log(xl2)) ** 2), no_con
+            return (xl1**2).sum() + ((xu2 - np.log(xl2)) ** 2).sum(), no_con
 
         ub = [[-5, 10]] * p_dim + [[-5, 1]] * r_dim
         lb = [[-5, 10]] * q_dim + [[_LOG_EPS, np.e]] * r_dim
@@ -198,13 +205,13 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
     if index == 3:
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            t3 = np.sum((xu2**2 - np.tan(xl2)) ** 2)
-            return np.sum(xu1**2) + np.sum(xl1**2) + np.sum(xu2**2) + t3, no_con
+            t3 = ((xu2**2 - np.tan(xl2)) ** 2).sum()
+            return (xu1**2).sum() + (xl1**2).sum() + (xu2**2).sum() + t3, no_con
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            f2 = q_dim + np.sum(xl1**2 - np.cos(2 * np.pi * xl1))
-            return f2 + np.sum((xu2**2 - np.tan(xl2)) ** 2), no_con
+            f2 = q_dim + (xl1**2 - np.cos(2 * np.pi * xl1)).sum()
+            return f2 + ((xu2**2 - np.tan(xl2)) ** 2).sum(), no_con
 
         ub = [[-5, 10]] * (p_dim + r_dim)
         lb = [[-5, 10]] * q_dim + [[-_TAN_BOUND, _TAN_BOUND]] * r_dim
@@ -214,13 +221,13 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
     if index == 4:
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            t3 = np.sum((np.abs(xu2) - np.log(1.0 + xl2)) ** 2)
-            return np.sum(xu1**2) - np.sum(xl1**2) + np.sum(xu2**2) - t3, no_con
+            t3 = ((np.abs(xu2) - np.log(1.0 + xl2)) ** 2).sum()
+            return (xu1**2).sum() - (xl1**2).sum() + (xu2**2).sum() - t3, no_con
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            f2 = q_dim + np.sum(xl1**2 - np.cos(2 * np.pi * xl1))
-            return f2 + np.sum((np.abs(xu2) - np.log(1.0 + xl2)) ** 2), no_con
+            f2 = q_dim + (xl1**2 - np.cos(2 * np.pi * xl1)).sum()
+            return f2 + ((np.abs(xu2) - np.log(1.0 + xl2)) ** 2).sum(), no_con
 
         ub = [[-5, 10]] * p_dim + [[-1, 1]] * r_dim
         lb = [[-5, 10]] * q_dim + [[0, np.e]] * r_dim
@@ -230,12 +237,12 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
     if index == 5:
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            t3 = np.sum((np.abs(xu2) - xl2**2) ** 2)
-            return np.sum(xu1**2) - rosenbrock(xl1) + np.sum(xu2**2) - t3, no_con
+            t3 = ((np.abs(xu2) - xl2**2) ** 2).sum()
+            return (xu1**2).sum() - rosenbrock(xl1) + (xu2**2).sum() - t3, no_con
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            return rosenbrock(xl1) + np.sum((np.abs(xu2) - xl2**2) ** 2), no_con
+            return rosenbrock(xl1) + ((np.abs(xu2) - xl2**2) ** 2).sum(), no_con
 
         ub = [[-5, 10]] * (p_dim + r_dim)
         lb = [[-5, 10]] * (q_dim + r_dim)
@@ -247,15 +254,15 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
         # pairwise differences, giving infinitely many lower-level optima.
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            t3 = np.sum((xu2 - xl2) ** 2)
-            F2 = -np.sum(xl1[:q_dim] ** 2) + np.sum(xl1[q_dim:] ** 2)
-            return np.sum(xu1**2) + F2 + np.sum(xu2**2) - t3, no_con
+            t3 = ((xu2 - xl2) ** 2).sum()
+            F2 = -(xl1[:q_dim] ** 2).sum() + (xl1[q_dim:] ** 2).sum()
+            return (xu1**2).sum() + F2 + (xu2**2).sum() - t3, no_con
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            f2 = np.sum(xl1[:q_dim] ** 2)
+            f2 = (xl1[:q_dim] ** 2).sum()
             f2 += sum((xl1[i + 1] - xl1[i]) ** 2 for i in range(q_dim, q_dim + s_dim - 1, 2))
-            return f2 + np.sum((xu2 - xl2) ** 2), no_con
+            return f2 + ((xu2 - xl2) ** 2).sum(), no_con
 
         ub = [[-5, 10]] * (p_dim + r_dim)
         lb = [[-5, 10]] * (q_dim + s_dim + r_dim)
@@ -265,14 +272,14 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
     if index == 7:
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            cos_prod = np.prod(np.cos(xu1 / np.sqrt(np.arange(1, p_dim + 1))))
-            F1 = 1.0 + np.sum(xu1**2) / 4000.0 - cos_prod
-            t3 = np.sum((xu2 - np.log(xl2)) ** 2)
-            return F1 - np.sum(xl1**2) + np.sum(xu2**2) - t3, no_con
+            cos_prod = np.cos(xu1 / np.sqrt(np.arange(1, p_dim + 1))).prod()
+            F1 = 1.0 + (xu1**2).sum() / 4000.0 - cos_prod
+            t3 = ((xu2 - np.log(xl2)) ** 2).sum()
+            return F1 - (xl1**2).sum() + (xu2**2).sum() - t3, no_con
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            return np.sum(xl1**2) + np.sum((xu2 - np.log(xl2)) ** 2), no_con
+            return (xl1**2).sum() + ((xu2 - np.log(xl2)) ** 2).sum(), no_con
 
         ub = [[-5, 10]] * p_dim + [[-5, 1]] * r_dim
         lb = [[-5, 10]] * q_dim + [[_LOG_EPS, np.e]] * r_dim
@@ -285,15 +292,15 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
             F1 = (
                 20.0
                 + np.e
-                - 20.0 * np.exp(-0.2 * np.sqrt(np.sum(xu1**2) / p_dim))
-                - np.exp(np.sum(np.cos(2 * np.pi * xu1)) / p_dim)
+                - 20.0 * np.exp(-0.2 * np.sqrt((xu1**2).sum() / p_dim))
+                - np.exp(np.cos(2 * np.pi * xu1).sum() / p_dim)
             )
-            t3 = np.sum((xu2 - xl2**3) ** 2)
-            return F1 - rosenbrock(xl1) + np.sum(xu2**2) - t3, no_con
+            t3 = ((xu2 - xl2**3) ** 2).sum()
+            return F1 - rosenbrock(xl1) + (xu2**2).sum() - t3, no_con
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            return rosenbrock(xl1) + np.sum((xu2 - xl2**3) ** 2), no_con
+            return rosenbrock(xl1) + ((xu2 - xl2**3) ** 2).sum(), no_con
 
         ub = [[-5, 10]] * (p_dim + r_dim)
         lb = [[-5, 10]] * (q_dim + r_dim)
@@ -303,16 +310,16 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
     if index == 9:
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            t3 = np.sum((xu2 - np.log(1.0 + xl2)) ** 2)
-            F = np.sum(xu1**2) - np.sum(xl1**2) + np.sum(xu2**2) - t3
-            term = np.sum(x_u**2)
+            t3 = ((xu2 - np.log(1.0 + xl2)) ** 2).sum()
+            F = (xu1**2).sum() - (xl1**2).sum() + (xu2**2).sum() - t3
+            term = (x_u**2).sum()
             G = np.array([term - np.floor(term + 0.5)])
             return F, G
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            f = np.sum(xl1**2) + np.sum((xu2 - np.log(1.0 + xl2)) ** 2)
-            term = np.sum(x_l**2)
+            f = (xl1**2).sum() + ((xu2 - np.log(1.0 + xl2)) ** 2).sum()
+            term = (x_l**2).sum()
             g = np.array([term - np.floor(term + 0.5)])
             return f, g
 
@@ -324,20 +331,20 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
     if index == 10:
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            t3 = np.sum((xu2 - np.tan(xl2)) ** 2)
-            F = np.sum((xu1 - 2) ** 2) + np.sum(xl1**2) + np.sum((xu2 - 2) ** 2) - t3
+            t3 = ((xu2 - np.tan(xl2)) ** 2).sum()
+            F = ((xu1 - 2) ** 2).sum() + (xl1**2).sum() + ((xu2 - 2) ** 2).sum() - t3
             G = np.concatenate(
                 [
-                    [xu1[j] - np.sum(np.delete(xu1, j) ** 3) - np.sum(xu2**3) for j in range(p_dim)],
-                    [xu2[j] - np.sum(np.delete(xu2, j) ** 3) - np.sum(xu1**3) for j in range(r_dim)],
+                    [xu1[j] - (xu1[others_p[j]] ** 3).sum() - (xu2**3).sum() for j in range(p_dim)],
+                    [xu2[j] - (xu2[others_r[j]] ** 3).sum() - (xu1**3).sum() for j in range(r_dim)],
                 ]
             )
             return F, G
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            f = np.sum((xl1 - 2) ** 2) + np.sum((xu2 - np.tan(xl2)) ** 2)
-            g = np.array([xl1[j] - np.sum(np.delete(xl1, j) ** 3) for j in range(q_dim)])
+            f = ((xl1 - 2) ** 2).sum() + ((xu2 - np.tan(xl2)) ** 2).sum()
+            g = np.array([xl1[j] - (xl1[others_q[j]] ** 3).sum() for j in range(q_dim)])
             return f, g
 
         ub = [[-5, 10]] * (p_dim + r_dim)
@@ -352,16 +359,15 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
     if index == 11:
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            t3 = np.sum((xu2 - np.log(xl2)) ** 2)
-            F = np.sum(xu1**2) - np.sum(xl1**2) + np.sum(xu2**2) - t3
+            t3 = ((xu2 - np.log(xl2)) ** 2).sum()
+            F = (xu1**2).sum() - (xl1**2).sum() + (xu2**2).sum() - t3
             G = xu2 - 1.0 / np.sqrt(r_dim) - np.log(xl2)
             return F, G
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            f = np.sum(xl1**2) + np.sum((xu2 - np.log(xl2)) ** 2)
-            g = np.array([np.sum((xu2 - np.log(xl2)) ** 2) - 1.0])
-            return f, g
+            t3 = ((xu2 - np.log(xl2)) ** 2).sum()
+            return (xl1**2).sum() + t3, np.array([t3 - 1.0])
 
         ub = [[-5, 10]] * p_dim + [[-1, 1]] * r_dim
         lb = [[-5, 10]] * q_dim + [[1 / np.e, np.e]] * r_dim
@@ -371,33 +377,30 @@ def _smd_pieces(index: int, p_dim: int, q_dim: int, r_dim: int, s_dim: int):
     if index == 12:
         def upper(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            t3 = np.sum((xu2 - np.tan(xl2)) ** 2)
+            t3 = ((xu2 - np.tan(xl2)) ** 2).sum()
             F = (
-                np.sum((xu1 - 2) ** 2)
-                + np.sum(xl1**2)
-                + np.sum((xu2 - 2) ** 2)
-                + np.sum(np.tan(np.abs(xl2)))
+                ((xu1 - 2) ** 2).sum()
+                + (xl1**2).sum()
+                + ((xu2 - 2) ** 2).sum()
+                + np.tan(np.abs(xl2)).sum()
                 - t3
             )
             G = np.concatenate(
                 [
                     xu2 - np.tan(xl2),
-                    [xu1[j] - np.sum(np.delete(xu1, j) ** 3) - np.sum(xu2**3) for j in range(p_dim)],
-                    [xu2[j] - np.sum(np.delete(xu2, j) ** 3) - np.sum(xu1**3) for j in range(r_dim)],
+                    [xu1[j] - (xu1[others_p[j]] ** 3).sum() - (xu2**3).sum() for j in range(p_dim)],
+                    [xu2[j] - (xu2[others_r[j]] ** 3).sum() - (xu1**3).sum() for j in range(r_dim)],
                 ]
             )
             return F, G
 
         def lower(x_u, x_l):
             xu1, xu2, xl1, xl2 = split(x_u, x_l)
-            f = np.sum((xl1 - 2) ** 2) + np.sum((xu2 - np.tan(xl2)) ** 2)
+            t3 = ((xu2 - np.tan(xl2)) ** 2).sum()
             g = np.concatenate(
-                [
-                    [np.sum((xu2 - np.tan(xl2)) ** 2) - 1.0],
-                    [xl1[j] - np.sum(np.delete(xl1, j) ** 3) for j in range(q_dim)],
-                ]
+                [[t3 - 1.0], [xl1[j] - (xl1[others_q[j]] ** 3).sum() for j in range(q_dim)]]
             )
-            return f, g
+            return ((xl1 - 2) ** 2).sum() + t3, g
 
         ub = [[-5, 10]] * p_dim + [[-14.1, 14.1]] * r_dim
         lb = [[-5, 10]] * q_dim + [[-1.5, 1.5]] * r_dim

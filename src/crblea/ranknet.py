@@ -13,7 +13,7 @@ pairwise-comparison cycles are possible).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -137,13 +137,6 @@ def scale_init_to_batch(params: RankNetParams, X, rng):
 
 
 @dataclass
-class PairSample:
-    x_first: np.ndarray
-    x_second: np.ndarray
-    label: float  # 1 first better, 0 second better, 0.5 exact tie
-
-
-@dataclass
 class PairDataset:
     """All ordered pairs drawn from one solution pool (size N(N-1))."""
 
@@ -173,7 +166,7 @@ def _backward(params, cache, dS):
     g = {}
     g["w3"] = H2.T @ dS
     g["b3"] = np.array([dS.sum()])
-    dA2 = np.outer(dS, params.w3) * (A2 > 0)
+    dA2 = dS[:, None] * params.w3 * (A2 > 0)
     g["W2"] = dA2.T @ H1
     g["b2"] = dA2.sum(axis=0)
     dA1 = (dA2 @ params.W2) * (A1 > 0)
@@ -200,7 +193,8 @@ def subnet_forward(params, x):
 
 
 def _sigmoid(t):
-    return np.where(t >= 0, 1.0 / (1.0 + np.exp(-np.abs(t))), np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
+    e = np.exp(-np.abs(t))  # in (0, 1]: cannot overflow for either sign of t
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def pair_forward(params, x_i, x_j):
@@ -242,17 +236,16 @@ def pdp(pool, normalizer) -> PairDataset:
     return PairDataset(np.array(xa), np.array(xb), np.array(labels), source_pool_size=N)
 
 
-def _softplus(t):
-    return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
-
-
 def pair_loss_and_grads(params, dataset: PairDataset):
     """Mean BCE over the pair batch and its analytic parameter gradients."""
     Sa, cache_a = _forward_cached(params, dataset.xa)
     Sb, cache_b = _forward_cached(params, dataset.xb)
     d = Sa - Sb
     labels = dataset.labels
-    loss = float(np.mean(labels * _softplus(-d) + (1.0 - labels) * _softplus(d)))
+    # softplus(+-d) = log1p(exp(-|d|)) + max(+-d, 0); the log term is shared
+    log_term = np.log1p(np.exp(-np.abs(d)))
+    loss = float(np.mean(labels * (log_term + np.maximum(-d, 0.0))
+                         + (1.0 - labels) * (log_term + np.maximum(d, 0.0))))
     dd = (_sigmoid(d) - labels) / len(labels)
     grads_a = _backward(params, cache_a, dd)
     grads_b = _backward(params, cache_b, -dd)

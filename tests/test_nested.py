@@ -69,11 +69,34 @@ def test_lower_search_recovers_toy_response():
 
 
 def test_lower_search_respects_budget():
+    # 37 = 5 initial + 6 generations of 5 + 2 points of a generation the cap cuts short
+    seen = []
+
+    def lower(x_u, x_l):
+        f, g = TOY.lower(x_u, x_l)
+        seen.append((f, x_l.copy()))
+        return f, g
+
+    p = type(TOY)(
+        name="tq-logged", m=2, n=2, upper_bounds=TOY.upper_bounds,
+        lower_bounds=TOY.lower_bounds, upper=TOY.upper, lower=lower, optimum=TOY.optimum,
+    )
     rule = TerminationRule(fes_l_max=37, lower_var_eps=1e-300)
     ledger = EvalLedger()
-    lower_level_search(TOY, np.zeros(2), OptimizerConfig(kind=CMAES, pop_size=5),
-                       rule, ledger, rng=np.random.default_rng(0))
-    assert ledger.fes_l == 37
+    x_l, f = lower_level_search(p, np.zeros(2), OptimizerConfig(kind=CMAES, pop_size=5),
+                                rule, ledger, rng=np.random.default_rng(0))
+    assert ledger.fes_l == len(seen) == 37
+    best_f, best_x = min(seen, key=lambda s: s[0])
+    assert f == best_f
+    assert np.array_equal(x_l, best_x)
+
+
+def test_lower_search_budget_must_cover_initial_population():
+    ledger = EvalLedger()
+    with pytest.raises(ContractViolationError):
+        lower_level_search(TOY, np.zeros(2), OptimizerConfig(kind=CMAES, pop_size=5),
+                           TerminationRule(fes_l_max=4), ledger, rng=np.random.default_rng(0))
+    assert ledger.fes_l == 0
 
 
 def test_lower_search_stagnation_stops_early():
