@@ -185,7 +185,7 @@ class CmaState(SearchState):
 
         Z = self.rng.standard_normal((lam, self.dim))
         Y = Z @ self.BD.T
-        X = np.clip(self.mean + self.sigma * Y, self.low, self.high)
+        X = (self.mean + self.sigma * Y).clip(self.low, self.high)
         fit, viol = self._evaluate_all(X, objective)
         self.population, self.fitness, self.violation = X, fit, viol
 
