@@ -122,10 +122,10 @@ def make_toy(variant: str, m: int, a, c) -> ProblemSpec:
     F_r = float(np.sum((x_u_star - a) ** 2) + np.sum(x_l_star**2))
 
     def upper(x_u, x_l):
-        return np.sum((x_u - a) ** 2) + np.sum(x_l**2), np.empty(0)
+        return ((x_u - a) ** 2).sum() + (x_l**2).sum(), np.empty(0)
 
     def lower(x_u, x_l):
-        return np.sum((x_l - x_u - c) ** 2), np.empty(0)
+        return ((x_l - x_u - c) ** 2).sum(), np.empty(0)
 
     half_width = max(5.0, 2.0 * float(np.max(np.abs(np.concatenate([a, c, x_u_star, x_l_star])))) + 5.0)
     bounds = np.tile([-half_width, half_width], (m, 1))
