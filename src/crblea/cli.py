@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import MODES, HarnessConfig, harness_config_from_dict
 from .crframework import run_cr_blea
-from .errors import ConfigurationError
+from .errors import ConfigurationError, CrbleaError
 from .nested import run_nested_blea
 from .problems import get_problem, problem_names
 from .stats import RunRecord, aggregate, resource_saving_rate, wilcoxon_ranksum
@@ -159,11 +159,9 @@ def cmd_compare(cfg_base: HarnessConfig, cfg_variant: HarnessConfig, jobs=1, out
 
 def cmd_suite(config_dir, jobs=1, out_dir=None):
     """Run every pair config in a directory; aggregate an average-R_rs footer."""
-    files = sorted(
-        f for f in os.listdir(config_dir) if f.endswith(".json")
-    ) if os.path.isdir(config_dir) else []
     if not os.path.isdir(config_dir):
         raise ConfigurationError(f"suite: {config_dir} is not a directory")
+    files = sorted(f for f in os.listdir(config_dir) if f.endswith(".json"))
     rows, errors = [], {}
     out_dir = out_dir or "suite_results"
     if not files:
@@ -178,7 +176,7 @@ def cmd_suite(config_dir, jobs=1, out_dir=None):
             cfg_base = harness_config_from_dict(data["base"], path=f"{name}.base")
             cfg_variant = harness_config_from_dict(data["variant"], path=f"{name}.variant")
             rows.append(cmd_compare(cfg_base, cfg_variant, jobs=jobs, out_dir=out_dir))
-        except Exception as exc:  # keep going; partial failures are reported
+        except (CrbleaError, OSError, ValueError) as exc:  # reported; the suite goes on
             errors[name] = f"{type(exc).__name__}: {exc}"
     os.makedirs(out_dir, exist_ok=True)
     footer = None

@@ -67,26 +67,22 @@ def maybe_retrain(pool: SolutionPool, params: RankNetParams, net_cfg, rng):
     Returns ``(params, accuracy_entry)`` where ``accuracy_entry`` is the old
     network's pairwise accuracy on the fresh dataset (None when the pool was
     not full, the old network was untrained, or every pair tied), measured
-    through the old network's input map ``params.normalizer``.  Late pools
-    fill a small corner of the problem box, so a freshly initialized network
-    is trained on the pool's own bounding box mapped onto the unit cube and
-    carries that map; a network that continues training keeps the map its
-    weights were trained under.  The pool is cleared after a training event;
-    on divergence the previous network is kept and the pool is still cleared.
+    through the old network's input map ``params.normalizer``.  Each
+    training event starts a freshly initialized network.  Late pools fill a
+    small corner of the problem box, so it is trained on the pool's own
+    bounding box mapped onto the unit cube and carries that map.  The pool is
+    cleared after a training event; on divergence the previous network is
+    kept and the pool is still cleared.
     """
     if not pool.full:
         return params, None
     acc = (model_accuracy(params, pdp(pool.entries, params.normalizer))
            if params.generation_id > 0 else None)
-    if net_cfg.init_mode == "fresh":
-        base = RankNetParams.init(params.m, params.n, params.q, rng,
-                                  psi_relu=params.psi_relu, generation_id=params.generation_id,
-                                  normalizer=Normalizer.fit([ind.x_u for ind in pool.entries]))
-        dataset = pdp(pool.entries, base.normalizer)
-        scale_init_to_batch(base, dataset.xa, rng)
-    else:
-        base = params
-        dataset = pdp(pool.entries, base.normalizer)
+    base = RankNetParams.init(params.m, params.n, params.q, rng,
+                              psi_relu=params.psi_relu, generation_id=params.generation_id,
+                              normalizer=Normalizer.fit([ind.x_u for ind in pool.entries]))
+    dataset = pdp(pool.entries, base.normalizer)
+    scale_init_to_batch(base, dataset.xa, rng)
     try:
         params = train(base, dataset, epochs=net_cfg.epochs, lr=net_cfg.lr)
     except TrainingDivergenceError:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .ledger import EvalLedger
-from .optimizers import CMAES, DE, OptimizerConfig, _ff_key, init_search, step
+from .optimizers import CMAES, DE, OptimizerConfig, _ff_key, de_trial, init_search, step
 from .problems import ProblemSpec, evaluate_lower, evaluate_upper
 
 
@@ -267,17 +267,9 @@ def upper_variation(P_u, cfg: OptimizerConfig, bounds, rng, count=None):
     low, high = bounds[:, 0], bounds[:, 1]
     X = np.array([ind.x_u for ind in P_u])
     d = X.shape[1]
-    out = []
     if cfg.kind == DE:
-        for i in range(count):
-            base = i % n
-            idx = rng.choice(n - 1, size=3, replace=False)
-            idx[idx >= base] += 1
-            a, b, c = X[idx]
-            mutant = a + cfg.de_scale * (b - c)
-            cross = rng.random(d) < cfg.de_crossover
-            cross[rng.integers(d)] = True
-            out.append(np.clip(np.where(cross, mutant, X[base]), low, high))
+        # every trial draws its donors from the parents, not from earlier trials
+        out = [de_trial(X, i % n, cfg, low, high, rng) for i in range(count)]
     elif cfg.kind == CMAES:
         order = sorted(range(n), key=lambda i: _ff_key(P_u[i].F, P_u[i].violation))
         mu = max(2, n // 2)

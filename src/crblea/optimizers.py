@@ -66,6 +66,22 @@ def _ff_key(fitness, violation):
     return (1, violation) if violation > 0 else (0, fitness)
 
 
+def de_trial(X, i, cfg, low, high, rng):
+    """rand/1/bin trial vector for base row ``i`` of ``X``, clipped to the box.
+
+    The three donors are distinct rows other than ``i``; binomial crossover
+    takes at least one coordinate from the mutant.
+    """
+    n, d = X.shape
+    idx = rng.choice(n - 1, size=3, replace=False)
+    idx[idx >= i] += 1
+    a, b, c = X[idx]
+    mutant = a + cfg.de_scale * (b - c)
+    cross = rng.random(d) < cfg.de_crossover
+    cross[rng.integers(d)] = True
+    return np.clip(np.where(cross, mutant, X[i]), low, high)
+
+
 class SearchState:
     """Common engine state: population, scores, and the best-so-far point."""
 
@@ -124,17 +140,9 @@ class DEState(SearchState):
         self.fitness, self.violation = self._evaluate_all(self.population, objective)
 
     def _step(self, objective):
-        cfg = self.config
-        n = cfg.pop_size
-        low, high = self.low, self.high
-        for i in range(n):
-            idx = self.rng.choice(n - 1, size=3, replace=False)
-            idx[idx >= i] += 1
-            a, b, c = self.population[idx]
-            mutant = a + cfg.de_scale * (b - c)
-            cross = self.rng.random(self.dim) < cfg.de_crossover
-            cross[self.rng.integers(self.dim)] = True
-            trial = np.clip(np.where(cross, mutant, self.population[i]), low, high)
+        for i in range(self.config.pop_size):
+            # donors come from the live population, updated as the loop goes
+            trial = de_trial(self.population, i, self.config, self.low, self.high, self.rng)
             f, v = objective(trial)
             self._consider(trial, f, v)
             if _ff_key(f, v) <= _ff_key(self.fitness[i], self.violation[i]):

@@ -30,7 +30,6 @@ class NetConfig:
     q: Optional[int] = None  # hidden width; None -> max(8, m + n + 3)
     epochs: int = 200
     lr: float = 0.1
-    init_mode: str = "fresh"  # "fresh" re-initializes weights at each retraining
     psi_relu: bool = True  # ReLU after the mapping layer (linear otherwise)
 
     def width_for(self, m, n):
@@ -64,7 +63,7 @@ _PARAM_NAMES = ("W_psi", "b_psi", "W1", "b1", "W2", "b2", "w3", "b3")
 
 
 class RankNetParams:
-    """Weights, Adam state, and the retraining counter of the subnet.
+    """Weights and the retraining counter of the subnet.
 
     ``normalizer`` is the map from upper points to the network's inputs that
     the weights were trained under (None when the caller feeds normalized
@@ -79,9 +78,6 @@ class RankNetParams:
         self.generation_id = generation_id
         for name in _PARAM_NAMES:
             setattr(self, name, weights[name])
-        self.adam_m = {k: np.zeros_like(weights[k]) for k in _PARAM_NAMES}
-        self.adam_v = {k: np.zeros_like(weights[k]) for k in _PARAM_NAMES}
-        self.adam_t = 0
         self.loss_curve = []
         self.normalizer = normalizer
 
@@ -113,12 +109,8 @@ class RankNetParams:
 
     def copy(self):
         weights = {k: getattr(self, k).copy() for k in _PARAM_NAMES}
-        dup = RankNetParams(self.m, self.n, self.q, weights, psi_relu=self.psi_relu,
-                            generation_id=self.generation_id, normalizer=self.normalizer)
-        dup.adam_m = {k: v.copy() for k, v in self.adam_m.items()}
-        dup.adam_v = {k: v.copy() for k, v in self.adam_v.items()}
-        dup.adam_t = self.adam_t
-        return dup
+        return RankNetParams(self.m, self.n, self.q, weights, psi_relu=self.psi_relu,
+                             generation_id=self.generation_id, normalizer=self.normalizer)
 
 
 def scale_init_to_batch(params: RankNetParams, X, rng):
@@ -288,18 +280,20 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
           stop_eps=1e-5, stop_patience=20) -> RankNetParams:
     """Full-batch Adam on the pair dataset; returns updated parameters.
 
-    Stops early once the best loss has not improved by ``stop_eps`` for
-    ``stop_patience`` epochs.  A non-finite loss raises
-    TrainingDivergenceError (callers keep the previous parameters).
+    The Adam moments start at zero on every call.  Stops early once the best
+    loss has not improved by ``stop_eps`` for ``stop_patience`` epochs.  A
+    non-finite loss raises TrainingDivergenceError (callers keep the previous
+    parameters).
     """
     if len(dataset) == 0:
         raise ContractViolationError("cannot train on an empty dataset")
     rows = _distinct_rows(dataset)
     out = params.copy()
-    out.loss_curve = []
+    adam_m = {k: np.zeros_like(getattr(out, k)) for k in _PARAM_NAMES}
+    adam_v = {k: np.zeros_like(getattr(out, k)) for k in _PARAM_NAMES}
     best_loss = math.inf
     since_improvement = 0
-    for _ in range(epochs):
+    for t in range(1, epochs + 1):
         loss, grads = _loss_and_grads(out, *rows, dataset.labels)
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite training loss {loss!r}")
@@ -311,11 +305,9 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
             since_improvement += 1
             if since_improvement >= stop_patience:
                 break
-        out.adam_t += 1
-        t = out.adam_t
         for k in _PARAM_NAMES:
-            m = out.adam_m[k] = ADAM_BETA1 * out.adam_m[k] + (1 - ADAM_BETA1) * grads[k]
-            v = out.adam_v[k] = ADAM_BETA2 * out.adam_v[k] + (1 - ADAM_BETA2) * grads[k] ** 2
+            m = adam_m[k] = ADAM_BETA1 * adam_m[k] + (1 - ADAM_BETA1) * grads[k]
+            v = adam_v[k] = ADAM_BETA2 * adam_v[k] + (1 - ADAM_BETA2) * grads[k] ** 2
             m_hat = m / (1 - ADAM_BETA1**t)
             v_hat = v / (1 - ADAM_BETA2**t)
             setattr(out, k, getattr(out, k) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))

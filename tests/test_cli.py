@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from crblea import cli
 from crblea.cli import main
 from crblea.problems import problem_names
 
@@ -122,17 +123,33 @@ def test_suite_runs_pairs_and_reports_errors(tmp_path, capsys):
         "variant": base_config("cr", runs=2),
     }))
     (pair_dir / "broken.json").write_text(json.dumps({"base": base_config()}))
+    (pair_dir / "garbled.json").write_text("{not json")
     out_dir = tmp_path / "suite_out"
     assert main(["suite", "--config", str(pair_dir), "--out", str(out_dir)]) == 0
 
     with open(out_dir / "suite.json") as fh:
         report = json.load(fh)
     assert len(report["rows"]) == 1
-    assert "broken.json" in report["errors"]
+    assert sorted(report["errors"]) == ["broken.json", "garbled.json"]
     assert "average_r_rs_percent" in report
 
     text = (out_dir / "suite.csv").read_text()
     assert text.strip().splitlines()[-1].startswith("# Average R_rs,")
+
+
+def test_suite_lets_unexpected_errors_propagate(tmp_path, monkeypatch):
+    pair_dir = tmp_path / "pairs"
+    pair_dir.mkdir()
+    (pair_dir / "tq_pair.json").write_text(json.dumps({
+        "base": base_config("nested"), "variant": base_config("cr"),
+    }))
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("bug in compare")
+
+    monkeypatch.setattr(cli, "cmd_compare", fail)
+    with pytest.raises(RuntimeError, match="bug in compare"):
+        main(["suite", "--config", str(pair_dir), "--out", str(tmp_path / "out")])
 
 
 def test_suite_requires_directory(tmp_path, capsys):

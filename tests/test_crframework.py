@@ -102,14 +102,6 @@ class TestMaybeRetrain:
         assert np.allclose(params.normalizer([0.4, 0.56]), [0.0, 0.0])
         assert np.allclose(params.normalizer([0.47, 0.7]), [1.0, 1.0])
 
-    def test_continued_training_keeps_its_map(self):
-        pool = SolutionPool(capacity_trigger=8)
-        pool.extend([evaluated([0.4 + 0.01 * i, 0.7 - 0.02 * i], float(i)) for i in range(8)])
-        params, _ = maybe_retrain(pool, self.params, NetConfig(q=2, epochs=30, init_mode="continue"),
-                                  self.rng)
-        assert params.generation_id == 1
-        assert params.normalizer is IDENTITY
-
 
 class FixedScores:
     """Deterministic stand-in for the network scoring used by pgr."""

@@ -68,7 +68,7 @@ def test_optimum_point_inside_bounds(name):
     assert np.all(x_l >= p.lower_bounds[:, 0]) and np.all(x_l <= p.lower_bounds[:, 1])
 
 
-@pytest.mark.parametrize("name", ["smd1", "smd2", "smd3", "tq"])
+@pytest.mark.parametrize("name", ALL_SMD + ["tq"])
 def test_lower_optimum_is_local_minimum(name):
     """Perturbing x_l* (within bounds) never improves the lower objective."""
     p = get_problem(name)
