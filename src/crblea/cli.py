@@ -80,11 +80,13 @@ def write_record(record: RunRecord, cfg: HarnessConfig, out_dir):
 
 
 def execute_runs(cfg: HarnessConfig, jobs=1):
-    """All seeded runs for one config (seeds base_seed .. base_seed+runs-1)."""
+    """All seeded runs for one config (seeds base_seed .. base_seed+runs-1),
+    on at most ``jobs`` worker processes, one per core and run at most."""
     seeds = [cfg.base_seed + i for i in range(cfg.runs)]
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1, len(seeds))
+    if workers > 1:
         cfg_dict = _cfg_to_dict(cfg)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_single_from_dict, [cfg_dict] * len(seeds), seeds))
     return [run_single(cfg, s) for s in seeds]
 
@@ -248,6 +250,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigurationError(f"--jobs: must be >= 1, got {args.jobs}")
         if args.command == "list-problems":
             for name in problem_names():
                 print(name)

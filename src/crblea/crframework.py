@@ -19,9 +19,9 @@ from .nested import (
     BestTracker,
     ResponseArchive,
     confirmed_stop_reason,
-    environmental_selection,
+    environmental_selection,  # not called here; bench/tracer.py wraps this name
     init_upper_population,
-    resolve_individual,
+    nested_generation,
     upper_variation,
 )
 from .ranknet import (
@@ -94,8 +94,8 @@ def maybe_retrain(pool: SolutionPool, params: RankNetParams, net_cfg, rng):
 def pgr(params, P_u, variation, N_u, allow_resample=True):
     """Population generation with ranking and resampling.
 
-    ``variation`` produces a list of offspring x_u vectors together with their
-    normalized form.  Returns the ceil(N_u / 2) top-scoring offspring as
+    ``variation`` produces a list of offspring x_u vectors, scored through
+    ``params.normalizer``.  Returns the ceil(N_u / 2) top-scoring offspring as
     ``(x_u, score)`` pairs plus a flag telling whether resampling fired.
     Parents must carry scores from the current network generation.
     """
@@ -104,16 +104,16 @@ def pgr(params, P_u, variation, N_u, allow_resample=True):
         raise ContractViolationError("pgr requires parents scored by the current network")
     k = math.ceil(N_u / 2)
 
-    offspring, offspring_norm = variation()
-    scores = ranking_scores(params, offspring_norm)
+    offspring = variation()
+    scores = ranking_scores(params, params.normalizer(np.array(offspring)))
     order = sorted(range(len(offspring)), key=lambda i: -scores[i])
     kept = [(offspring[i], float(scores[i])) for i in order[:k]]
 
     resampled = False
     if allow_resample and max(s for _, s in kept) < max(parent_scores):
         resampled = True
-        extra, extra_norm = variation()
-        extra_scores = ranking_scores(params, extra_norm)
+        extra = variation()
+        extra_scores = ranking_scores(params, params.normalizer(np.array(extra)))
         merged = kept + [(extra[i], float(extra_scores[i])) for i in range(len(extra))]
         order = sorted(range(len(merged)), key=lambda i: -merged[i][1])
         kept = [merged[i] for i in order[:k]]
@@ -121,10 +121,9 @@ def pgr(params, P_u, variation, N_u, allow_resample=True):
 
 
 def _refresh_scores(params, P_u):
-    scores = ranking_scores(params, np.array([params.normalizer(ind.x_u) for ind in P_u]))
+    scores = ranking_scores(params, params.normalizer(np.array([ind.x_u for ind in P_u])))
     for ind, s in zip(P_u, scores):
         ind.rank_score = float(s)
-        ind.net_generation = params.generation_id
 
 
 def run_cr_blea(p, cfg, seed):
@@ -139,7 +138,6 @@ def run_cr_blea(p, cfg, seed):
     cfg = cfg.resolved(p)
     if cfg.mode not in CR_MODES:
         raise ContractViolationError(f"run_cr_blea called with mode {cfg.mode!r}")
-    rule = cfg.termination
     rng = np.random.default_rng(seed)
     net_rng = np.random.default_rng(rng.integers(2**63))
     ledger = EvalLedger()
@@ -160,36 +158,22 @@ def run_cr_blea(p, cfg, seed):
     trainings_done = 0
     model_acc_history = []
     resamplings = 0
-    stop_reason = None
 
     def variation():
-        offspring = upper_variation(P_u, cfg.upper, p.upper_bounds, rng, count=N_u)
-        return offspring, np.array([params.normalizer(x) for x in offspring])
+        return upper_variation(P_u, cfg.upper, p.upper_bounds, rng)
 
-    while True:
-        stop_reason = confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive)
-        if stop_reason:
-            break
-
+    while not (stop_reason := confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive)):
         if not pool.full and not allocated:
-            # warm-up: typical nested generation, pooling all evaluated offspring
-            offspring = []
-            for x_u in upper_variation(P_u, cfg.upper, p.upper_bounds, rng):
-                if ledger.fes_u >= rule.fes_u_max:
-                    break
-                ind = resolve_individual(p, x_u, cfg, ledger, rng, archive)
-                tracker.observe(ind)
-                offspring.append(ind)
+            # warm-up: the nested baseline's generation, pooling all evaluated offspring
+            P_u, offspring = nested_generation(p, P_u, variation(), cfg, ledger, tracker, rng,
+                                               archive)
             pool.extend(offspring)
-            if offspring:
-                P_u = environmental_selection(P_u + offspring, N_u)
-            ledger.checkpoint(tracker.best.F)
             continue
 
         if cfg.mode == "cr_no_net":
             if pool.full:
                 pool.clear()
-            candidates, _ = variation()
+            candidates = variation()
             k = math.ceil(N_u / 2)
             chosen = rng.choice(len(candidates), size=k, replace=False)
             selected = [(candidates[i], None) for i in chosen]
@@ -208,20 +192,12 @@ def run_cr_blea(p, cfg, seed):
             )
             resamplings += int(resampled)
 
-        evaluated = []
-        for x_u, score in selected:
-            if ledger.fes_u >= rule.fes_u_max:
-                break
-            ind = resolve_individual(p, x_u, cfg, ledger, rng, archive)
+        P_u, evaluated = nested_generation(p, P_u, [x_u for x_u, _ in selected], cfg, ledger,
+                                           tracker, rng, archive)
+        for ind, (_, score) in zip(evaluated, selected):
             ind.rank_score = score
-            ind.net_generation = params.generation_id
-            tracker.observe(ind)
-            evaluated.append(ind)
         allocated = True
         pool.extend(evaluated)
-        if evaluated:
-            P_u = environmental_selection(P_u + evaluated, N_u)
-        ledger.checkpoint(tracker.best.F)
 
     return build_run_record(
         p, cfg, seed, ledger, tracker,

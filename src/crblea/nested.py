@@ -53,7 +53,6 @@ class UpperIndividual:
     feasible: bool = True
     violation: float = 0.0
     rank_score: Optional[float] = None
-    net_generation: Optional[int] = None
     confirmed: bool = False  # lower level re-solved once from the archive
 
     def require_evaluated(self):
@@ -71,7 +70,7 @@ def _violation(g):
 
 
 def lower_level_search(p: ProblemSpec, x_u, cfg: OptimizerConfig, rule: TerminationRule,
-                       ledger: EvalLedger, rng=None, *, start=None):
+                       ledger: EvalLedger, rng, *, start=None):
     """Optimize ``f(x_u, .)`` until the task budget or stagnation window hits.
 
     Returns ``(x_l_star, f_star)``, the feasibility-first best point found
@@ -142,29 +141,48 @@ class ResponseArchive:
         return np.array([self.members[i].x_l_star for i in np.argsort(d, kind="stable")[:k]])
 
 
-def resolve_individual(p: ProblemSpec, x_u, cfg, ledger, rng, archive) -> UpperIndividual:
-    """Run the lower-level search for ``x_u`` and evaluate the upper level.
+def _solve(p: ProblemSpec, ind, cfg, ledger, rng, archive):
+    """Run the lower-level search for ``ind.x_u`` and evaluate the upper
+    level, filling ``ind`` in place.
 
     The search starts from the responses of the nearest upper points in
-    ``archive`` (a cold start while it is empty), and the resolved
-    individual joins the archive.  Nearby upper points have nearby responses,
-    so a warm-started task refines a response instead of searching the whole
-    lower box again (the lower-level mapping idea of BLEAQ).
+    ``archive`` (a cold start while it is empty).  Nearby upper points have
+    nearby responses, so a warm-started task refines a response instead of
+    searching the whole lower box again (the lower-level mapping idea of
+    BLEAQ).
     """
-    start = archive.nearest(x_u, cfg.lower.pop_size)
-    x_l_star, f_star = lower_level_search(p, x_u, cfg.lower, cfg.termination, ledger, rng=rng,
-                                          start=start)
-    F, G, feasible = evaluate_upper(p, x_u, x_l_star, ledger)
-    ind = UpperIndividual(
-        x_u=np.asarray(x_u, dtype=float),
-        x_l_star=x_l_star,
-        F=F,
-        f_star=f_star,
-        feasible=feasible,
-        violation=_violation(G),
-    )
+    start = archive.nearest(ind.x_u, cfg.lower.pop_size)
+    ind.x_l_star, ind.f_star = lower_level_search(p, ind.x_u, cfg.lower, cfg.termination, ledger,
+                                                  rng=rng, start=start)
+    ind.F, G, ind.feasible = evaluate_upper(p, ind.x_u, ind.x_l_star, ledger)
+    ind.violation = _violation(G)
+    return ind
+
+
+def resolve_individual(p: ProblemSpec, x_u, cfg, ledger, rng, archive) -> UpperIndividual:
+    """Resolve a new individual at ``x_u`` (see ``_solve``); it joins the
+    archive."""
+    ind = _solve(p, UpperIndividual(x_u=np.asarray(x_u, dtype=float)), cfg, ledger, rng, archive)
     archive.add(ind)
     return ind
+
+
+def resolve_all(p: ProblemSpec, xs, cfg, ledger, tracker, rng, archive):
+    """Resolve the upper points ``xs`` in order until they run out or the
+    upper FE budget is spent, and return the resolved individuals.
+
+    ``xs`` may be lazy: a point is taken from it only while the budget lasts.
+    """
+    xs = iter(xs)
+    out = []
+    while ledger.fes_u < cfg.termination.fes_u_max:
+        x_u = next(xs, None)
+        if x_u is None:
+            break
+        ind = resolve_individual(p, x_u, cfg, ledger, rng, archive)
+        tracker.observe(ind)
+        out.append(ind)
+    return out
 
 
 def environmental_selection(pool, n_keep):
@@ -227,17 +245,9 @@ def confirm_elite(p, P_u, cfg, ledger, tracker, rng, archive):
     most once, and every evaluation is counted by the ledger, which records
     a convergence checkpoint after the re-solves.
     """
-    rule = cfg.termination
     fes_t = ledger.fes_t
-    while not tracker.best.confirmed and ledger.fes_u < rule.fes_u_max:
-        ind = tracker.best
-        start = archive.nearest(ind.x_u, cfg.lower.pop_size)
-        x_l_star, f_star = lower_level_search(p, ind.x_u, cfg.lower, rule, ledger, rng=rng,
-                                              start=start)
-        F, G, feasible = evaluate_upper(p, ind.x_u, x_l_star, ledger)
-        ind.x_l_star, ind.f_star, ind.F = x_l_star, f_star, F
-        ind.feasible, ind.violation = feasible, _violation(G)
-        ind.confirmed = True
+    while not tracker.best.confirmed and ledger.fes_u < cfg.termination.fes_u_max:
+        _solve(p, tracker.best, cfg, ledger, rng, archive).confirmed = True
         tracker.reselect(P_u)
     if ledger.fes_t != fes_t:
         ledger.checkpoint(tracker.best.F)
@@ -256,20 +266,19 @@ def confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive):
     return reason()
 
 
-def upper_variation(P_u, cfg: OptimizerConfig, bounds, rng, count=None):
-    """Generate offspring x_u vectors from the parent population.
+def upper_variation(P_u, cfg: OptimizerConfig, bounds, rng):
+    """Generate one offspring x_u vector per parent.
 
     DE uses rand/1/bin over the parents; CMA-ES samples around the weighted
     mean of the better half with the parents' sample covariance.
     """
     n = len(P_u)
-    count = count if count is not None else n
     low, high = bounds[:, 0], bounds[:, 1]
     X = np.array([ind.x_u for ind in P_u])
     d = X.shape[1]
     if cfg.kind == DE:
         # every trial draws its donors from the parents, not from earlier trials
-        out = [de_trial(X, i % n, cfg, low, high, rng) for i in range(count)]
+        out = [de_trial(X, i, cfg, low, high, rng) for i in range(n)]
     elif cfg.kind == CMAES:
         order = sorted(range(n), key=lambda i: _ff_key(P_u[i].F, P_u[i].violation))
         mu = max(2, n // 2)
@@ -278,7 +287,7 @@ def upper_variation(P_u, cfg: OptimizerConfig, bounds, rng, count=None):
         mean = w @ X[order[:mu]]
         cov = np.cov(X.T) if d > 1 else np.array([[np.var(X[:, 0])]])
         cov = np.atleast_2d(cov) + 1e-12 * np.eye(d)
-        out = [np.clip(x, low, high) for x in rng.multivariate_normal(mean, cov, size=count)]
+        out = [np.clip(x, low, high) for x in rng.multivariate_normal(mean, cov, size=n)]
     else:
         raise ContractViolationError(f"unknown upper engine {cfg.kind!r}")
     return out
@@ -286,17 +295,21 @@ def upper_variation(P_u, cfg: OptimizerConfig, bounds, rng, count=None):
 
 def init_upper_population(p, cfg, ledger, tracker, rng, archive):
     """Sample and resolve the initial upper population (budget-guarded)."""
-    rule = cfg.termination
     low, high = p.upper_bounds[:, 0], p.upper_bounds[:, 1]
-    P_u = []
-    for _ in range(cfg.upper.pop_size):
-        if ledger.fes_u >= rule.fes_u_max:
-            break
-        x_u = rng.uniform(low, high)
-        ind = resolve_individual(p, x_u, cfg, ledger, rng, archive)
-        tracker.observe(ind)
-        P_u.append(ind)
-    return P_u
+    xs = (rng.uniform(low, high) for _ in range(cfg.upper.pop_size))
+    return resolve_all(p, xs, cfg, ledger, tracker, rng, archive)
+
+
+def nested_generation(p, P_u, xs, cfg, ledger, tracker, rng, archive):
+    """One generation on the offspring points ``xs``: resolve them while the
+    budget lasts, keep the ``pop_size`` best of parents and offspring, and
+    record a convergence checkpoint.  Returns ``(survivors, offspring)``.
+    """
+    offspring = resolve_all(p, xs, cfg, ledger, tracker, rng, archive)
+    if offspring:
+        P_u = environmental_selection(P_u + offspring, cfg.upper.pop_size)
+    ledger.checkpoint(tracker.best.F)
+    return P_u, offspring
 
 
 def run_nested_blea(p: ProblemSpec, cfg, seed):
@@ -304,7 +317,6 @@ def run_nested_blea(p: ProblemSpec, cfg, seed):
     from .stats import build_run_record  # late import: stats depends on nothing here
 
     cfg = cfg.resolved(p)
-    rule = cfg.termination
     rng = np.random.default_rng(seed)
     ledger = EvalLedger()
     tracker = BestTracker()
@@ -313,21 +325,8 @@ def run_nested_blea(p: ProblemSpec, cfg, seed):
     P_u = init_upper_population(p, cfg, ledger, tracker, rng, archive)
     ledger.checkpoint(tracker.best.F)
 
-    stop_reason = None
-    while True:
-        stop_reason = confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive)
-        if stop_reason:
-            break
+    while not (stop_reason := confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive)):
         offspring_x = upper_variation(P_u, cfg.upper, p.upper_bounds, rng)
-        offspring = []
-        for x_u in offspring_x:
-            if ledger.fes_u >= rule.fes_u_max:
-                break
-            ind = resolve_individual(p, x_u, cfg, ledger, rng, archive)
-            tracker.observe(ind)
-            offspring.append(ind)
-        if offspring:
-            P_u = environmental_selection(P_u + offspring, cfg.upper.pop_size)
-        ledger.checkpoint(tracker.best.F)
+        P_u, _ = nested_generation(p, P_u, offspring_x, cfg, ledger, tracker, rng, archive)
 
     return build_run_record(p, cfg, seed, ledger, tracker, stop_reason=stop_reason)

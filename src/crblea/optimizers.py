@@ -32,7 +32,6 @@ class OptimizerConfig:
     de_scale: float = 0.5
     de_crossover: float = 0.9
     cma_sigma0: float = 0.3  # initial step size as a fraction of the box width
-    seed: int = 0
 
     def validate(self):
         if self.kind not in (DE, CMAES):
@@ -98,10 +97,6 @@ class SearchState:
         self.best_x = None
         self.best_fitness = math.inf
         self.best_violation = math.inf
-
-    @property
-    def feasibility(self):
-        return self.violation <= 0.0
 
     @property
     def best(self):
@@ -247,7 +242,7 @@ class CmaState(SearchState):
         return float(np.min(self.eigvals))
 
 
-def init_search(config: OptimizerConfig, bounds, objective, rng=None, *, start=None) -> SearchState:
+def init_search(config: OptimizerConfig, bounds, objective, rng, *, start=None) -> SearchState:
     """Evaluate an initial population inside ``bounds``.
 
     Without ``start`` the population is uniform over the box.  A warm start
@@ -256,8 +251,6 @@ def init_search(config: OptimizerConfig, bounds, objective, rng=None, *, start=N
     instead of ``cma_sigma0``.
     """
     config.validate()
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     cls = DEState if config.kind == DE else CmaState
     state = cls(config, bounds, rng)
     state._init_population(objective, start)

@@ -104,9 +104,6 @@ class RankNetParams:
     def param_count(self):
         return sum(getattr(self, k).size for k in _PARAM_NAMES)
 
-    def weights_dict(self):
-        return {k: getattr(self, k) for k in _PARAM_NAMES}
-
     def copy(self):
         weights = {k: getattr(self, k).copy() for k in _PARAM_NAMES}
         return RankNetParams(self.m, self.n, self.q, weights, psi_relu=self.psi_relu,
@@ -152,7 +149,6 @@ class PairDataset:
     xa: np.ndarray  # (B, m)
     xb: np.ndarray  # (B, m)
     labels: np.ndarray  # (B,)
-    source_pool_size: int = 0
 
     def __len__(self):
         return len(self.labels)
@@ -242,7 +238,7 @@ def pdp(pool, normalizer) -> PairDataset:
             l = float(np.sign(F[j] - F[i]))
             xa.append(X[i]); xb.append(X[j]); labels.append((l + 1.0) / 2.0)
             xa.append(X[j]); xb.append(X[i]); labels.append((-l + 1.0) / 2.0)
-    return PairDataset(np.array(xa), np.array(xb), np.array(labels), source_pool_size=N)
+    return PairDataset(np.array(xa), np.array(xb), np.array(labels))
 
 
 def _distinct_rows(dataset: PairDataset):

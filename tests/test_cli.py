@@ -1,8 +1,10 @@
 """Command-line interface: verbs, record files, overrides, error paths."""
 
+import contextlib
 import csv
 import json
 import os
+import types
 
 import pytest
 
@@ -105,6 +107,41 @@ def test_compare_emits_table_row(tmp_path, capsys):
     with open(out_dir / "compare_tq_nested_vs_cr.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and rows[0]["problem"] == "tq"
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_rejected(tmp_path, capsys, command, jobs):
+    cfg_path = write_config(tmp_path, "cfg.json", base_config())
+    target = cfg_path if command == "run" else str(tmp_path)
+    assert main([command, "--config", target, "--jobs", jobs,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def sequential_cr_runs():
+    cfg = cli.harness_config_from_dict(base_config("cr"))  # 3 runs
+    return cfg, [r.to_dict() for r in cli.execute_runs(cfg)]
+
+
+@pytest.mark.parametrize("jobs, cores, sizes", [(4, 2, [2]), (8, 16, [3]), (2, 16, [2]), (3, 1, [])])
+def test_parallel_runs_capped_and_equal_to_sequential(monkeypatch, sequential_cr_runs,
+                                                      jobs, cores, sizes):
+    cfg, sequential = sequential_cr_runs
+    pools = []
+
+    @contextlib.contextmanager
+    def in_process_pool(max_workers):
+        pools.append(max_workers)
+        yield types.SimpleNamespace(map=map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    parallel = [r.to_dict() for r in cli.execute_runs(cfg, jobs=jobs)]
+    assert pools == sizes  # one core: no pool at all
+    assert parallel == sequential
 
 
 def test_compare_rejects_mismatched_problems(tmp_path, capsys):

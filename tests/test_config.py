@@ -75,6 +75,12 @@ class TestFromDict:
         with pytest.raises(ConfigurationError, match="config.upper.popsize"):
             harness_config_from_dict({"upper": {"popsize": 5}})
 
+    @pytest.mark.parametrize("section", ["upper", "lower"])
+    def test_engine_seed_is_not_a_key(self, section):
+        # every search draws from its run's generator, seeded by base_seed
+        with pytest.raises(ConfigurationError, match=f"config.{section}.seed"):
+            harness_config_from_dict({section: {"seed": 3}})
+
     def test_scalar_type_checked(self):
         with pytest.raises(ConfigurationError, match="config.runs"):
             harness_config_from_dict({"runs": "eleven"})

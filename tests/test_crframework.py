@@ -123,13 +123,15 @@ def make_parents(scores):
 
 
 class TestPgr:
+    # scores are looked up by the network input, which the identity map
+    # leaves equal to x_u
+    NET = RankNetParams.init(2, 2, 2, np.random.default_rng(0), normalizer=IDENTITY)
+
     def variation_factory(self, batches):
         batches = iter(batches)
 
         def variation():
-            xs = next(batches)
-            X = np.array([[x, x] for x in xs], dtype=float)
-            return list(X), X
+            return list(np.array([[x, x] for x in next(batches)], dtype=float))
 
         return variation
 
@@ -138,7 +140,7 @@ class TestPgr:
         monkeypatch.setattr(crf, "ranking_scores", FixedScores(scores))
         parents = make_parents([0.1] * 5)
         variation = self.variation_factory([[0.0, 1.0, 2.0, 3.0, 4.0]])
-        kept, resampled = pgr(None, parents, variation, N_u=5)
+        kept, resampled = pgr(self.NET, parents, variation, N_u=5)
         assert len(kept) == math.ceil(5 / 2) == 3
         assert not resampled
         assert [k[1] for k in kept] == [4.0, 3.0, 2.0]
@@ -148,7 +150,7 @@ class TestPgr:
                             FixedScores({1.0: 0.9, 2.0: 0.2, 3.0: 0.1, 4.0: 0.1}))
         parents = make_parents([0.5, 0.4, 0.3, 0.2])
         variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0]])
-        kept, resampled = pgr(None, parents, variation, N_u=4)
+        kept, resampled = pgr(self.NET, parents, variation, N_u=4)
         assert not resampled and len(kept) == 2
 
     def test_single_resample_merges_both_batches(self, monkeypatch):
@@ -159,7 +161,7 @@ class TestPgr:
         parents = make_parents([0.5, 0.4, 0.3, 0.2])
         variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0],
                                             [5.0, 6.0, 7.0, 8.0]])
-        kept, resampled = pgr(None, parents, variation, N_u=4)
+        kept, resampled = pgr(self.NET, parents, variation, N_u=4)
         assert resampled
         assert [k[1] for k in kept] == [0.90, 0.20]
 
@@ -168,13 +170,13 @@ class TestPgr:
                             FixedScores({1.0: 0.1, 2.0: 0.05, 3.0: 0.01, 4.0: 0.0}))
         parents = make_parents([0.5, 0.4, 0.3, 0.2])
         variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0]])
-        kept, resampled = pgr(None, parents, variation, N_u=4, allow_resample=False)
+        kept, resampled = pgr(self.NET, parents, variation, N_u=4, allow_resample=False)
         assert not resampled and [k[1] for k in kept] == [0.1, 0.05]
 
     def test_unscored_parents_rejected(self):
         parents = make_parents([0.5, 0.4, None, 0.2])
         with pytest.raises(ContractViolationError):
-            pgr(None, parents, lambda: ([], np.zeros((0, 2))), N_u=4)
+            pgr(self.NET, parents, lambda: [], N_u=4)
 
 
 class TestFullRun:

@@ -170,8 +170,8 @@ def test_upper_variation_count_and_bounds(kind):
     for i, ind in enumerate(parents):
         ind.x_u = rng.uniform(-4, 9, 2)
     bounds = np.tile([-5.0, 10.0], (2, 1))
-    out = upper_variation(parents, OptimizerConfig(kind=kind, pop_size=6), bounds, rng, count=4)
-    assert len(out) == 4
+    out = upper_variation(parents, OptimizerConfig(kind=kind, pop_size=6), bounds, rng)
+    assert len(out) == 6  # one offspring per parent
     for x in out:
         assert np.all(x >= -5.0) and np.all(x <= 10.0)
 
@@ -216,6 +216,23 @@ class TestFullRun:
                                  nested.ResponseArchive(TOY.upper_bounds))
         assert ledger.fes_u == 1
         assert ind.F is not None and ind.x_l_star is not None
+
+
+@pytest.mark.parametrize("mode", ["nested", "cr"])
+def test_budget_smaller_than_the_upper_population(monkeypatch, mode):
+    tasks = []
+    search = nested.lower_level_search
+
+    def task(*args, **kwargs):
+        tasks.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(nested, "lower_level_search", task)
+    record = run_single(small_config(mode=mode, termination=TerminationRule(fes_u_max=3)), 0)
+    assert record.pop_size_upper == 6
+    assert record.stop_reason == "budget"
+    assert record.fes_u == 3 and len(tasks) == 3
+    assert record.trace[-1][0] == record.fes_t
 
 
 class TestWarmStart:

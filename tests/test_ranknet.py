@@ -85,7 +85,6 @@ class TestPdp:
         for N in (2, 5, 9):
             ds = pdp(make_pool(range(N)), IDENTITY)
             assert len(ds) == N * (N - 1)
-            assert ds.source_pool_size == N
 
     def test_labels_and_complements(self):
         ds = pdp(make_pool([1.0, 3.0]), IDENTITY)
