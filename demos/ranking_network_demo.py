@@ -15,8 +15,8 @@ from crblea import (
     HarnessConfig,
     NetConfig,
     Normalizer,
-    OptimizerConfig,
     RankNetParams,
+    UpperConfig,
     get_problem,
     model_accuracy,
     pdp,
@@ -33,7 +33,7 @@ SEED = 3
 
 def main():
     p = get_problem("smd1")
-    cfg = HarnessConfig(problem="smd1", upper=OptimizerConfig(pop_size=20)).resolved(p)
+    cfg = HarnessConfig(problem="smd1", upper=UpperConfig(pop_size=20)).resolved(p)
     rng = np.random.default_rng(SEED)
 
     net_cfg = NetConfig()

@@ -13,7 +13,7 @@ Run:  python3 demos/smd1_comparison.py
 
 import json
 
-from crblea import HarnessConfig, OptimizerConfig
+from crblea import HarnessConfig, UpperConfig
 from crblea.cli import compare_records, execute_runs
 
 RUNS = 3
@@ -21,9 +21,9 @@ RUNS = 3
 
 def main():
     base = HarnessConfig(problem="smd1", mode="nested", runs=RUNS,
-                         upper=OptimizerConfig(pop_size=20))
+                         upper=UpperConfig(pop_size=20))
     variant = HarnessConfig(problem="smd1", mode="cr", runs=RUNS,
-                            upper=OptimizerConfig(pop_size=20))
+                            upper=UpperConfig(pop_size=20))
 
     print(f"running {RUNS} seeded runs per mode on smd1 (this takes a minute)...")
     nested = execute_runs(base)

@@ -14,8 +14,9 @@ import numpy as np
 from crblea import (
     EvalLedger,
     HarnessConfig,
-    OptimizerConfig,
+    LowerConfig,
     TerminationRule,
+    UpperConfig,
     get_problem,
     lower_level_search,
     run_cr_blea,
@@ -33,7 +34,7 @@ def main():
 
     print("\n-- lower-level search recovers the response mapping --")
     rng = np.random.default_rng(SEED)
-    cfg_lower = OptimizerConfig(kind="cmaes", pop_size=5)
+    cfg_lower = LowerConfig(pop_size=5)
     rule = TerminationRule()
     for _ in range(3):
         x_u = rng.uniform(-3, 3, p.m)
@@ -44,9 +45,9 @@ def main():
               f"|error|={err:.1e}  f*={f:.1e}  ({ledger.fes_l} lower FEs)")
 
     print("\n-- full bilevel runs, baseline vs ranking-gated --")
-    cfg = HarnessConfig(problem="tq", upper=OptimizerConfig(pop_size=20))
+    cfg = HarnessConfig(problem="tq", upper=UpperConfig(pop_size=20))
     nested = run_nested_blea(p, cfg, seed=SEED)
-    cfg_cr = HarnessConfig(problem="tq", mode="cr", upper=OptimizerConfig(pop_size=20))
+    cfg_cr = HarnessConfig(problem="tq", mode="cr", upper=UpperConfig(pop_size=20))
     cr = run_cr_blea(p, cfg_cr, seed=SEED)
     for record in (nested, cr):
         print(f"  mode={record.mode:<7} F={record.best_F:.6f}  "

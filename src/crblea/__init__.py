@@ -23,7 +23,7 @@ from .nested import (
     resolve_individual,
     run_nested_blea,
 )
-from .optimizers import OptimizerConfig, feasibility_first_compare, init_search, step
+from .optimizers import LowerConfig, UpperConfig, init_search, step
 from .problems import (
     ProblemSpec,
     evaluate_lower,
@@ -65,7 +65,7 @@ __all__ = [
     "EvalLedger",
     "TerminationRule", "UpperIndividual", "environmental_selection",
     "lower_level_search", "resolve_individual", "run_nested_blea",
-    "OptimizerConfig", "feasibility_first_compare", "init_search", "step",
+    "UpperConfig", "LowerConfig", "init_search", "step",
     "ProblemSpec", "evaluate_upper", "evaluate_lower", "get_problem",
     "make_smd", "make_toy", "problem_names",
     "NetConfig", "Normalizer", "PairDataset", "RankNetParams",

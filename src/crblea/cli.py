@@ -29,7 +29,7 @@ from .crframework import run_cr_blea
 from .errors import ConfigurationError, CrbleaError
 from .nested import run_nested_blea
 from .problems import get_problem, problem_names
-from .stats import RunRecord, aggregate, resource_saving_rate, wilcoxon_ranksum
+from .stats import RunRecord, accuracy, aggregate, resource_saving_rate, wilcoxon_ranksum
 
 
 def run_single(cfg: HarnessConfig, seed: int) -> RunRecord:
@@ -63,8 +63,7 @@ def _trace_csv(record: RunRecord, known_F):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["fes_t", "best_F", "acc_u"])
     for fes_t, best_F in record.trace:
-        acc = max(abs(known_F - best_F), 1e-6)
-        writer.writerow([fes_t, repr(float(best_F)), repr(float(acc))])
+        writer.writerow([fes_t, repr(float(best_F)), repr(float(accuracy(best_F, known_F)))])
     return buf.getvalue()
 
 
@@ -181,14 +180,13 @@ def cmd_suite(config_dir, jobs=1, out_dir=None):
         except (CrbleaError, OSError, ValueError) as exc:  # reported; the suite goes on
             errors[name] = f"{type(exc).__name__}: {exc}"
     os.makedirs(out_dir, exist_ok=True)
+    report = {"rows": rows, "errors": errors}
     footer = None
     if rows:
         avg = sum(r["r_rs_percent"] for r in rows) / len(rows)
         footer = f"# Average R_rs,{avg:.1f}%"
+        report["average_r_rs_percent"] = avg
     _write_compare_csv(rows, os.path.join(out_dir, "suite.csv"), footer=footer)
-    report = {"rows": rows, "errors": errors}
-    if rows:
-        report["average_r_rs_percent"] = sum(r["r_rs_percent"] for r in rows) / len(rows)
     _atomic_write(os.path.join(out_dir, "suite.json"), json.dumps(report, indent=1) + "\n")
     return report
 

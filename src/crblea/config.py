@@ -2,11 +2,12 @@
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from typing import get_args
 
 from .errors import ConfigurationError
 from .nested import TerminationRule
-from .optimizers import CMAES, DE, OptimizerConfig
-from .problems import ProblemSpec, problem_names
+from .optimizers import LowerConfig, UpperConfig
+from .problems import ProblemSpec, get_problem, problem_names
 from .ranknet import NetConfig
 
 MODES = ("nested", "cr", "cr_no_net", "cr_no_resample")
@@ -28,16 +29,15 @@ def default_lower_pop(n):
 class HarnessConfig:
     problem: str = "smd1"
     mode: str = "nested"
-    # Lower-level tasks default to CMA-ES.  A cold task (uniform start,
-    # sigma0 0.3 of the box) does not resolve the lower level within the
-    # 250-FE budget: at 60 random x_u its median residual f* is 7e-4 on SMD1,
-    # 1.3e-3 on SMD2, 0.36 on SMD5 and 1.5 on SMD8 (rand/1/bin at pop 5: 7-14).
-    # Within a run only the first task is cold; later ones start from the
-    # nearest resolved responses: on nested SMD1 seed 0 the median task ends
-    # at f* 4.3e-7, tasks use 159 FEs on average and 41% reach the cap.
-    # pop_size 0 means "use the formula".
-    upper: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(pop_size=0))
-    lower: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(kind=CMAES, pop_size=0))
+    # A cold lower-level task (uniform start, sigma0 0.3 of the box) does not
+    # resolve the lower level within the 250-FE budget: at 60 random x_u its
+    # median residual f* is 7e-4 on SMD1, 1.3e-3 on SMD2, 0.36 on SMD5 and
+    # 1.5 on SMD8.  Within a run only the first task is cold; later ones start
+    # from the nearest resolved responses: on nested SMD1 seed 0 the median
+    # task ends at f* 4.3e-7, tasks use 159 FEs on average and 41% reach the
+    # cap.
+    upper: UpperConfig = field(default_factory=UpperConfig)
+    lower: LowerConfig = field(default_factory=LowerConfig)
     termination: TerminationRule = field(default_factory=TerminationRule)
     net: NetConfig = field(default_factory=NetConfig)
     runs: int = 21
@@ -52,7 +52,10 @@ class HarnessConfig:
             raise ConfigurationError(f"problem: unknown name {self.problem!r}")
         if self.runs < 1:
             raise ConfigurationError("runs: must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigurationError("base_seed: must be >= 0")
         self.termination.validate()
+        self.net.validate()
         return self
 
     def resolved(self, p: ProblemSpec):
@@ -87,16 +90,31 @@ def _build_section(cls, data, path):
     for key, value in data.items():
         if key not in known:
             raise ConfigurationError(f"{path}.{key}: unknown key (known: {', '.join(sorted(known))})")
+        want = known[key].type
+        if not _fits(want, value):
+            raise ConfigurationError(
+                f"{path}.{key}: expected {getattr(want, '__name__', want)}, got {value!r}")
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+    return cls(**kwargs)
+
+
+def _fits(annotation, value):
+    """Whether a parsed JSON value fits a section field's annotation: a bool
+    is no number, an int is a valid float, and Optional[X] also takes null."""
+    if annotation is type(None):
+        return value is None
+    if annotation is bool or isinstance(value, bool):
+        return annotation is bool and isinstance(value, bool)
+    if annotation is float:
+        return isinstance(value, (int, float))
+    if annotation is int:
+        return isinstance(value, int)
+    return any(_fits(arg, value) for arg in get_args(annotation))
 
 
 _SECTIONS = {
-    "upper": OptimizerConfig,
-    "lower": OptimizerConfig,
+    "upper": UpperConfig,
+    "lower": LowerConfig,
     "termination": TerminationRule,
     "net": NetConfig,
 }
@@ -126,9 +144,6 @@ def harness_config_from_dict(data, path="config") -> HarnessConfig:
             kwargs[key] = value
         else:
             raise ConfigurationError(f"{path}.{key}: unknown key")
-    cfg = HarnessConfig(**kwargs)
-    if cfg.upper.kind not in (DE, CMAES):
-        raise ConfigurationError(f"{path}.upper.kind: unknown engine {cfg.upper.kind!r}")
-    if cfg.lower.kind not in (DE, CMAES):
-        raise ConfigurationError(f"{path}.lower.kind: unknown engine {cfg.lower.kind!r}")
-    return cfg.validate()
+    cfg = HarnessConfig(**kwargs).validate()
+    cfg.resolved(get_problem(cfg.problem))  # engine knobs, checked before anything runs
+    return cfg

@@ -11,9 +11,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ConfigurationError, ContractViolationError
 from .ledger import EvalLedger
-from .optimizers import CMAES, DE, OptimizerConfig, _ff_key, de_trial, init_search, step
+from .optimizers import LowerConfig, UpperConfig, _ff_key, de_trial, init_search, step
 from .problems import ProblemSpec, evaluate_lower, evaluate_upper
 
 
@@ -34,7 +34,7 @@ class TerminationRule:
         for name in ("fes_u_max", "fes_u_var_window", "upper_var_eps", "fes_l_max",
                      "fes_l_var_window", "lower_var_eps", "target_acc"):
             if getattr(self, name) <= 0:
-                raise ContractViolationError(f"TerminationRule.{name} must be positive")
+                raise ConfigurationError(f"termination.{name}: must be positive")
         return self
 
 
@@ -69,7 +69,7 @@ def _violation(g):
     return float(np.maximum(g, 0.0).sum()) if g.size else 0.0
 
 
-def lower_level_search(p: ProblemSpec, x_u, cfg: OptimizerConfig, rule: TerminationRule,
+def lower_level_search(p: ProblemSpec, x_u, cfg: LowerConfig, rule: TerminationRule,
                        ledger: EvalLedger, rng, *, start=None):
     """Optimize ``f(x_u, .)`` until the task budget or stagnation window hits.
 
@@ -266,31 +266,14 @@ def confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive):
     return reason()
 
 
-def upper_variation(P_u, cfg: OptimizerConfig, bounds, rng):
-    """Generate one offspring x_u vector per parent.
+def upper_variation(P_u, cfg: UpperConfig, bounds, rng):
+    """One rand/1/bin offspring x_u vector per parent.
 
-    DE uses rand/1/bin over the parents; CMA-ES samples around the weighted
-    mean of the better half with the parents' sample covariance.
+    Every trial draws its donors from the parents, not from earlier trials.
     """
-    n = len(P_u)
     low, high = bounds[:, 0], bounds[:, 1]
     X = np.array([ind.x_u for ind in P_u])
-    d = X.shape[1]
-    if cfg.kind == DE:
-        # every trial draws its donors from the parents, not from earlier trials
-        out = [de_trial(X, i, cfg, low, high, rng) for i in range(n)]
-    elif cfg.kind == CMAES:
-        order = sorted(range(n), key=lambda i: _ff_key(P_u[i].F, P_u[i].violation))
-        mu = max(2, n // 2)
-        w = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
-        w /= w.sum()
-        mean = w @ X[order[:mu]]
-        cov = np.cov(X.T) if d > 1 else np.array([[np.var(X[:, 0])]])
-        cov = np.atleast_2d(cov) + 1e-12 * np.eye(d)
-        out = [np.clip(x, low, high) for x in rng.multivariate_normal(mean, cov, size=n)]
-    else:
-        raise ContractViolationError(f"unknown upper engine {cfg.kind!r}")
-    return out
+    return [de_trial(X, i, cfg, low, high, rng) for i in range(len(P_u))]
 
 
 def init_upper_population(p, cfg, ledger, tracker, rng, archive):

@@ -1,11 +1,12 @@
-"""Single-level search engines: DE (rand/1/bin) and CMA-ES.
+"""The search engine of each level: rand/1/bin variation (``de_trial``) for
+the upper level and CMA-ES for the lower level.
 
-Both engines minimize an objective ``obj(x) -> (fitness, violation)`` inside a
+CMA-ES minimizes an objective ``obj(x) -> (fitness, violation)`` inside a
 box, where ``violation`` is the summed positive constraint excess (0 means
-feasible).  Selection everywhere is feasibility-first: feasible beats
-infeasible, feasible points compare by fitness, infeasible points by
-violation.  Candidates are clipped to the box before evaluation, so every
-call to the objective costs exactly one function evaluation.
+feasible).  Selection at both levels is feasibility-first (``_ff_key``):
+feasible beats infeasible, feasible points compare by fitness, infeasible
+points by violation.  Candidates are clipped to the box before evaluation,
+so every call to the objective costs exactly one function evaluation.
 """
 
 import math
@@ -15,9 +16,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-DE = "de"
-CMAES = "cmaes"
-
 # Least initial CMA-ES step per axis of a warm start, in box widths.  A wider
 # floor makes a nearly resolved start search too wide a region: at 1e-3 and
 # 1e-2 the nested baseline's median FEs rose on 9 and 10 of the 10 protocol
@@ -26,39 +24,36 @@ WARM_SPREAD_FLOOR = 1e-4
 
 
 @dataclass
-class OptimizerConfig:
-    kind: str = DE
-    pop_size: int = 5
+class UpperConfig:
+    """Upper-level rand/1/bin.  pop_size 0 means "use the formula"."""
+
+    pop_size: int = 0
     de_scale: float = 0.5
     de_crossover: float = 0.9
-    cma_sigma0: float = 0.3  # initial step size as a fraction of the box width
 
     def validate(self):
-        if self.kind not in (DE, CMAES):
-            raise ConfigurationError(f"unknown optimizer kind {self.kind!r}")
-        if self.kind == DE and self.pop_size < 4:
-            raise ConfigurationError("DE needs pop_size >= 4 (base + 3 distinct donors)")
-        if self.kind == CMAES and self.pop_size < 2:
-            raise ConfigurationError("CMA-ES needs pop_size >= 2")
+        if self.pop_size < 4:
+            raise ConfigurationError("upper.pop_size: DE needs >= 4 (base + 3 distinct donors)")
         if not (0.0 < self.de_scale <= 2.0):
-            raise ConfigurationError("de_scale must lie in (0, 2]")
+            raise ConfigurationError("upper.de_scale: must lie in (0, 2]")
         if not (0.0 <= self.de_crossover <= 1.0):
-            raise ConfigurationError("de_crossover must lie in [0, 1]")
-        if self.cma_sigma0 <= 0.0:
-            raise ConfigurationError("cma_sigma0 must be positive")
+            raise ConfigurationError("upper.de_crossover: must lie in [0, 1]")
         return self
 
 
-def feasibility_first_compare(a, b):
-    """Order (fitness, violation) pairs; negative means ``a`` is better.
+@dataclass
+class LowerConfig:
+    """Lower-level CMA-ES.  pop_size 0 means "use the formula"."""
 
-    Feasible beats infeasible; two feasibles compare by fitness; two
-    infeasibles by violation.
-    """
-    fa, va = a
-    fb, vb = b
-    ka, kb = _ff_key(fa, va), _ff_key(fb, vb)
-    return -1 if ka < kb else (1 if ka > kb else 0)
+    pop_size: int = 0
+    cma_sigma0: float = 0.3  # initial step size as a fraction of the box width
+
+    def validate(self):
+        if self.pop_size < 2:
+            raise ConfigurationError("lower.pop_size: CMA-ES needs >= 2")
+        if self.cma_sigma0 <= 0.0:
+            raise ConfigurationError("lower.cma_sigma0: must be positive")
+        return self
 
 
 def _ff_key(fitness, violation):
@@ -81,22 +76,60 @@ def de_trial(X, i, cfg, low, high, rng):
     return np.clip(np.where(cross, mutant, X[i]), low, high)
 
 
-class SearchState:
-    """Common engine state: population, scores, and the best-so-far point."""
+class CmaState:
+    """(mu/mu_w, lambda) CMA-ES with eigenvalue flooring for numeric repair.
 
-    def __init__(self, config, bounds, rng):
+    Holds the current population, its scores, and the feasibility-first
+    best-so-far point.
+    """
+
+    def __init__(self, config, bounds, objective, rng, start):
+        bounds = np.asarray(bounds, dtype=float)
         self.config = config
-        self.bounds = np.asarray(bounds, dtype=float)
-        self.low, self.high = self.bounds[:, 0], self.bounds[:, 1]
-        self.dim = len(self.bounds)
+        self.low, self.high = bounds[:, 0], bounds[:, 1]
+        self.dim = d = len(bounds)
         self.rng = rng
         self.generation = 0
-        self.population = None
-        self.fitness = None
-        self.violation = None
         self.best_x = None
         self.best_fitness = math.inf
         self.best_violation = math.inf
+        self.population = self._initial_points(start)
+        self.fitness, self.violation = self._evaluate_all(self.population, objective)
+
+        mu = config.pop_size // 2
+        w = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
+        w /= w.sum()
+        self.weights = w
+        self.mu = mu
+        self.mueff = 1.0 / np.sum(w**2)
+        self.cc = (4 + self.mueff / d) / (d + 4 + 2 * self.mueff / d)
+        self.cs = (self.mueff + 2) / (d + self.mueff + 5)
+        self.c1 = 2 / ((d + 1.3) ** 2 + self.mueff)
+        self.cmu = min(1 - self.c1, 2 * (self.mueff - 2 + 1 / self.mueff) / ((d + 2) ** 2 + self.mueff))
+        self.damps = 1 + 2 * max(0.0, math.sqrt((self.mueff - 1) / (d + 1)) - 1) + self.cs
+        self.chi_n = math.sqrt(d) * (1 - 1 / (4 * d) + 1 / (21 * d * d))
+        # per-generation constants of the path and covariance updates
+        self.ps_gain = math.sqrt(self.cs * (2 - self.cs) * self.mueff)
+        self.pc_gain = math.sqrt(self.cc * (2 - self.cc) * self.mueff)
+        self.hsig_limit = (1.4 + 2 / (d + 1)) * self.chi_n
+        self.C_decay = 1 - self.c1 - self.cmu
+
+        widths = self.high - self.low
+        if start is None:
+            mean_width = float(np.mean(widths))
+            self.sigma = config.cma_sigma0 * mean_width
+            scale = widths / mean_width
+        else:
+            # A warm start sizes each axis by how far its starting points
+            # disagree, floored so that a collapsed start can still move.
+            spread = np.maximum(self.population.std(axis=0), WARM_SPREAD_FLOOR * widths)
+            self.sigma = float(np.mean(spread))
+            scale = spread / self.sigma
+        self.C = np.diag(scale**2)
+        self.pc = np.zeros(d)
+        self.ps = np.zeros(d)
+        self.mean = self.best_x.copy()
+        self._decompose()
 
     @property
     def best(self):
@@ -127,71 +160,6 @@ class SearchState:
             viol[i] = v
             self._consider(x, f, v)
         return fit, viol
-
-
-class DEState(SearchState):
-    def _init_population(self, objective, start):
-        self.population = self._initial_points(start)
-        self.fitness, self.violation = self._evaluate_all(self.population, objective)
-
-    def _step(self, objective):
-        for i in range(self.config.pop_size):
-            # donors come from the live population, updated as the loop goes
-            trial = de_trial(self.population, i, self.config, self.low, self.high, self.rng)
-            f, v = objective(trial)
-            self._consider(trial, f, v)
-            if _ff_key(f, v) <= _ff_key(self.fitness[i], self.violation[i]):
-                self.population[i] = trial
-                self.fitness[i] = f
-                self.violation[i] = v
-        self.generation += 1
-
-
-class CmaState(SearchState):
-    """(mu/mu_w, lambda) CMA-ES with eigenvalue flooring for numeric repair."""
-
-    def _init_population(self, objective, start):
-        cfg = self.config
-        d = self.dim
-        widths = self.high - self.low
-        n = cfg.pop_size
-        self.population = self._initial_points(start)
-        self.fitness, self.violation = self._evaluate_all(self.population, objective)
-
-        lam = n
-        mu = lam // 2
-        w = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
-        w /= w.sum()
-        self.weights = w
-        self.mu = mu
-        self.mueff = 1.0 / np.sum(w**2)
-        self.cc = (4 + self.mueff / d) / (d + 4 + 2 * self.mueff / d)
-        self.cs = (self.mueff + 2) / (d + self.mueff + 5)
-        self.c1 = 2 / ((d + 1.3) ** 2 + self.mueff)
-        self.cmu = min(1 - self.c1, 2 * (self.mueff - 2 + 1 / self.mueff) / ((d + 2) ** 2 + self.mueff))
-        self.damps = 1 + 2 * max(0.0, math.sqrt((self.mueff - 1) / (d + 1)) - 1) + self.cs
-        self.chi_n = math.sqrt(d) * (1 - 1 / (4 * d) + 1 / (21 * d * d))
-        # per-generation constants of the path and covariance updates
-        self.ps_gain = math.sqrt(self.cs * (2 - self.cs) * self.mueff)
-        self.pc_gain = math.sqrt(self.cc * (2 - self.cc) * self.mueff)
-        self.hsig_limit = (1.4 + 2 / (d + 1)) * self.chi_n
-        self.C_decay = 1 - self.c1 - self.cmu
-
-        if start is None:
-            mean_width = float(np.mean(widths))
-            self.sigma = cfg.cma_sigma0 * mean_width
-            scale = widths / mean_width
-        else:
-            # A warm start sizes each axis by how far its starting points
-            # disagree, floored so that a collapsed start can still move.
-            spread = np.maximum(self.population.std(axis=0), WARM_SPREAD_FLOOR * widths)
-            self.sigma = float(np.mean(spread))
-            scale = spread / self.sigma
-        self.C = np.diag(scale**2)
-        self.pc = np.zeros(d)
-        self.ps = np.zeros(d)
-        self.mean = self.best_x.copy()
-        self._decompose()
 
     def _decompose(self):
         self.C = (self.C + self.C.T) / 2.0
@@ -238,26 +206,19 @@ class CmaState(SearchState):
         self._decompose()
         self.generation = gen
 
-    def min_eigenvalue(self):
-        return float(np.min(self.eigvals))
 
+def init_search(config: LowerConfig, bounds, objective, rng, *, start=None) -> CmaState:
+    """Evaluate an initial CMA-ES population inside ``bounds``.
 
-def init_search(config: OptimizerConfig, bounds, objective, rng, *, start=None) -> SearchState:
-    """Evaluate an initial population inside ``bounds``.
-
-    Without ``start`` the population is uniform over the box.  A warm start
-    puts the rows of ``start`` first and fills the rest uniformly; CMA-ES
-    then takes its initial step sizes from the population's spread per axis
-    instead of ``cma_sigma0``.
+    Without ``start`` the population is uniform over the box and the initial
+    step size is ``cma_sigma0`` of it.  A warm start puts the rows of
+    ``start`` first, fills the rest uniformly, and takes the initial step
+    sizes from the population's spread per axis.
     """
-    config.validate()
-    cls = DEState if config.kind == DE else CmaState
-    state = cls(config, bounds, rng)
-    state._init_population(objective, start)
-    return state
+    return CmaState(config.validate(), bounds, objective, rng, start)
 
 
-def step(state: SearchState, objective) -> SearchState:
+def step(state: CmaState, objective) -> CmaState:
     """Advance one generation in place; returns the same state object."""
     state._step(objective)
     return state

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractViolationError, TrainingDivergenceError
+from .errors import ConfigurationError, ContractViolationError, TrainingDivergenceError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -31,6 +31,15 @@ class NetConfig:
     epochs: int = 200
     lr: float = 0.1
     psi_relu: bool = True  # ReLU after the mapping layer (linear otherwise)
+
+    def validate(self):
+        if self.q is not None and self.q < 1:
+            raise ConfigurationError("net.q: must be >= 1 or null")
+        if self.epochs < 1:
+            raise ConfigurationError("net.epochs: must be >= 1")
+        if not self.lr > 0.0:
+            raise ConfigurationError("net.lr: must be positive")
+        return self
 
     def width_for(self, m, n):
         # A narrow net keeps the parameter count (and hence the pool size

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from crblea import HarnessConfig, OptimizerConfig, RunRecord
+from crblea import HarnessConfig, RunRecord, UpperConfig
 from crblea.cli import run_single
 
 # Experiment protocol: the published termination settings with an upper
@@ -35,7 +35,7 @@ ABLATION_INSTANCES = ("smd1", "smd2", "smd3", "smd4")
 
 def protocol_config(problem, mode):
     return HarnessConfig(problem=problem, mode=mode,
-                         upper=OptimizerConfig(pop_size=UPPER_POP))
+                         upper=UpperConfig(pop_size=UPPER_POP))
 
 
 def record_for(problem, mode, seed):

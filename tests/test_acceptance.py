@@ -19,8 +19,9 @@ import test_ranknet
 from crblea import (
     EvalLedger,
     HarnessConfig,
-    OptimizerConfig,
+    LowerConfig,
     TerminationRule,
+    UpperConfig,
     evaluate_lower,
     evaluate_upper,
     get_problem,
@@ -167,7 +168,7 @@ def test_criterion_7_numerical_properties():
     if (ledger.fes_u, ledger.fes_l, ledger.fes_t) != (3, 7, 10):
         failures.append("ledger miscount")
 
-    cfg = HarnessConfig(problem="tq", mode="cr", upper=OptimizerConfig(pop_size=6),
+    cfg = HarnessConfig(problem="tq", mode="cr", upper=UpperConfig(pop_size=6),
                         termination=TerminationRule(fes_u_max=80, fes_u_var_window=30))
     if run_single(cfg, 9).to_dict() != run_single(cfg, 9).to_dict():
         failures.append("seeded runs not identical")
@@ -184,7 +185,7 @@ def test_criterion_8_oracles():
     # closed-form lower-level response recovery: x_l*(x_u) = x_u + c
     p = get_problem("tq")
     rng = np.random.default_rng(1)
-    cfg = OptimizerConfig(kind="cmaes", pop_size=5)
+    cfg = LowerConfig(pop_size=5)
     rule = TerminationRule()
     worst = 0.0
     for _ in range(20):

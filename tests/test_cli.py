@@ -194,6 +194,14 @@ def test_suite_requires_directory(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_seed_rejected(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "cfg.json", base_config())
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--seed", "-1", "--out", str(out_dir)]) == 2
+    assert "base_seed" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_invalid_config_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -207,3 +215,32 @@ def test_unknown_config_key(tmp_path, capsys):
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main(["run", "--config", path]) == 2
     assert "mystery" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("termination", "fes_u_max", 0),
+    ("upper", "pop_size", "20"),
+    ("net", "q", 0),
+    ("net", "epochs", -1),
+    ("net", "lr", 0),
+])
+def test_bad_config_value(tmp_path, capsys, section, key, value):
+    cfg = base_config()
+    cfg[section][key] = value
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{section}.{key}" in err
+    assert not out_dir.exists()
+
+
+def test_compare_checks_both_configs_before_running(tmp_path, capsys):
+    base = write_config(tmp_path, "base.json", base_config())
+    variant = write_config(tmp_path, "variant.json",
+                           base_config("cr", upper={"pop_size": 6, "de_scale": 0}))
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", "--config", base, "--variant-config", variant,
+                 "--out", str(out_dir)]) == 2
+    assert "upper.de_scale" in capsys.readouterr().err
+    assert not out_dir.exists()

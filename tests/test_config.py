@@ -5,7 +5,8 @@ import pytest
 from crblea import (
     ConfigurationError,
     HarnessConfig,
-    OptimizerConfig,
+    LowerConfig,
+    UpperConfig,
     default_lower_pop,
     default_upper_pop,
     harness_config_from_dict,
@@ -22,8 +23,8 @@ def test_population_formulas():
 def test_defaults():
     cfg = HarnessConfig()
     assert cfg.mode == "nested"
-    assert cfg.upper.kind == "de" and cfg.lower.kind == "cmaes"
-    assert cfg.upper.pop_size == 0  # 0 = use the formula
+    assert cfg.upper == UpperConfig(pop_size=0)  # 0 = use the formula
+    assert cfg.lower == LowerConfig(pop_size=0, cma_sigma0=0.3)
     assert cfg.runs == 21
 
 
@@ -36,9 +37,18 @@ def test_resolved_fills_formula_sizes():
 
 
 def test_resolved_records_overrides():
-    cfg = HarnessConfig(upper=OptimizerConfig(pop_size=20)).resolved(get_problem("smd1"))
+    cfg = HarnessConfig(upper=UpperConfig(pop_size=20)).resolved(get_problem("smd1"))
     assert cfg.upper.pop_size == 20
     assert "override(20)" in cfg.pop_formula
+
+
+@pytest.mark.parametrize("data", [{"lower": {"cma_sigma0": 0.2}}, {"upper": {"de_scale": 0.6}}])
+def test_omitted_fields_take_the_harness_defaults(data):
+    cfg = harness_config_from_dict(data).resolved(get_problem("smd1"))
+    assert (cfg.upper.pop_size, cfg.lower.pop_size) == (5, 5)
+    assert cfg.pop_formula == "upper=4+floor(ln(m+n)); lower=4+floor(ln(n))"
+    assert cfg.lower.cma_sigma0 == data.get("lower", {}).get("cma_sigma0", 0.3)
+    assert cfg.upper.de_scale == data.get("upper", {}).get("de_scale", 0.5)
 
 
 def test_validate_rejects_bad_mode_problem_runs():
@@ -57,13 +67,14 @@ class TestFromDict:
             "mode": "cr",
             "runs": 3,
             "base_seed": 7,
-            "upper": {"kind": "de", "pop_size": 20},
-            "lower": {"kind": "cmaes"},
+            "upper": {"pop_size": 20},
+            "lower": {"cma_sigma0": 0.2},
             "termination": {"fes_u_max": 100},
             "net": {"q": 4},
         })
         assert cfg.problem == "smd2" and cfg.mode == "cr"
         assert cfg.upper.pop_size == 20
+        assert cfg.lower.cma_sigma0 == 0.2
         assert cfg.termination.fes_u_max == 100
         assert cfg.net.q == 4
 
@@ -94,6 +105,18 @@ class TestFromDict:
     def test_unknown_engine(self):
         with pytest.raises(ConfigurationError, match="kind"):
             harness_config_from_dict({"upper": {"kind": "anneal", "pop_size": 5}})
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("upper", "pop_size", "20"), ("upper", "pop_size", 20.0), ("lower", "cma_sigma0", True),
+        ("termination", "target_acc", None), ("net", "q", 2.5), ("net", "psi_relu", 1),
+    ])
+    def test_section_value_type_checked(self, section, key, value):
+        with pytest.raises(ConfigurationError, match=f"config.{section}.{key}: expected"):
+            harness_config_from_dict({section: {key: value}})
+
+    def test_section_value_types_accepted(self):
+        cfg = harness_config_from_dict({"lower": {"cma_sigma0": 1}, "net": {"q": None}})
+        assert cfg.lower.cma_sigma0 == 1 and cfg.net.q is None
 
     def test_not_an_object(self):
         with pytest.raises(ConfigurationError):

@@ -11,10 +11,10 @@ from crblea import (
     HarnessConfig,
     NetConfig,
     Normalizer,
-    OptimizerConfig,
     RankNetParams,
     SolutionPool,
     TerminationRule,
+    UpperConfig,
     UpperIndividual,
     maybe_retrain,
     pgr,
@@ -31,7 +31,7 @@ def small_config(mode="cr", **kwargs):
     defaults = dict(
         problem="tq",
         mode=mode,
-        upper=OptimizerConfig(pop_size=6),
+        upper=UpperConfig(pop_size=6),
         termination=TerminationRule(fes_u_max=150, fes_u_var_window=40),
         net=NetConfig(q=2),
     )
@@ -230,7 +230,7 @@ def capped_problem_and_config(n_u=6):
         target_acc=1e-300,
     )
     cfg = HarnessConfig(problem="tq", mode="cr",
-                        upper=OptimizerConfig(pop_size=n_u),
+                        upper=UpperConfig(pop_size=n_u),
                         termination=rule, net=NetConfig(q=2, epochs=20))
     return p, cfg
 

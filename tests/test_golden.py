@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crblea import EvalLedger, OptimizerConfig, TerminationRule
+from crblea import EvalLedger, TerminationRule
 from crblea.cli import run_single
 from crblea.problems import evaluate_lower, evaluate_upper, get_problem, problem_names
 from _corpus import CACHE_DIR, protocol_config
@@ -50,20 +50,19 @@ def test_smd1_protocol_run_matches_cached_corpus_record(mode):
 # Short-budget runs: (config, sha1 of the sorted-key JSON record).
 # smd12 is constrained at both levels, so the feasibility-first paths of the
 # lower CMA-ES, the upper selection and the gated CR loop (2 trainings, 2
-# resamplings at this budget) are all live.  The smd6 run uses rand/1/bin for
-# the lower level.  Both start every task after the first from archived
-# responses.
+# resamplings at this budget) are all live.  The smd6 run is the nested
+# baseline with the default lower configuration.  Both start every task after
+# the first from archived responses.
 SHORT_RUNS = {
     "smd12-cr-lowercma": (
         replace(protocol_config("smd12", "cr"),
                 termination=TerminationRule(fes_u_max=120, fes_l_max=100)),
         "6f61f8b5f18a77f9cb655c5cf431507af1ef0482",
     ),
-    "smd6-nested-lowerde": (
+    "smd6-nested-lowercma": (
         replace(protocol_config("smd6", "nested"),
-                lower=OptimizerConfig(kind="de", pop_size=0),
                 termination=TerminationRule(fes_u_max=60, fes_l_max=100)),
-        "58be984013d20b55d42cd9a77ed7c252ed8d2045",
+        "e35d0868ee4f4a6f8fc72dc880b8fc4efa2da869",
     ),
 }
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from crblea import (
+    ConfigurationError,
     ContractViolationError,
     evaluate_upper,
     nested,
     EvalLedger,
     HarnessConfig,
-    OptimizerConfig,
+    LowerConfig,
     TerminationRule,
+    UpperConfig,
     UpperIndividual,
     environmental_selection,
     lower_level_search,
@@ -19,7 +21,6 @@ from crblea import (
 )
 from crblea.cli import run_single
 from crblea.nested import BestTracker, check_upper_termination, upper_variation
-from crblea.optimizers import CMAES
 from crblea.problems import get_problem
 
 TOY = get_problem("tq")  # lower optimum at x_l = x_u + c with c = (-2, -2)
@@ -28,7 +29,7 @@ TOY = get_problem("tq")  # lower optimum at x_l = x_u + c with c = (-2, -2)
 def small_config(**kwargs):
     defaults = dict(
         problem="tq",
-        upper=OptimizerConfig(pop_size=6),
+        upper=UpperConfig(pop_size=6),
         termination=TerminationRule(fes_u_max=120, fes_u_var_window=40),
     )
     defaults.update(kwargs)
@@ -50,7 +51,7 @@ class TestTerminationRule:
 
     @pytest.mark.parametrize("field", ["fes_u_max", "fes_l_max", "target_acc"])
     def test_positive_required(self, field):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ConfigurationError, match=f"termination.{field}"):
             TerminationRule(**{field: 0}).validate()
 
 
@@ -62,7 +63,7 @@ def test_require_evaluated():
 
 def test_lower_search_recovers_toy_response():
     rule = TerminationRule()
-    cfg = OptimizerConfig(kind=CMAES, pop_size=5)
+    cfg = LowerConfig(pop_size=5)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x_u = rng.uniform(-3, 3, 2)
@@ -86,7 +87,7 @@ def test_lower_search_respects_budget():
     )
     rule = TerminationRule(fes_l_max=37, lower_var_eps=1e-300)
     ledger = EvalLedger()
-    x_l, f = lower_level_search(p, np.zeros(2), OptimizerConfig(kind=CMAES, pop_size=5),
+    x_l, f = lower_level_search(p, np.zeros(2), LowerConfig(pop_size=5),
                                 rule, ledger, rng=np.random.default_rng(0))
     assert ledger.fes_l == len(seen) == 37
     best_f, best_x = min(seen, key=lambda s: s[0])
@@ -97,7 +98,7 @@ def test_lower_search_respects_budget():
 def test_lower_search_budget_must_cover_initial_population():
     ledger = EvalLedger()
     with pytest.raises(ContractViolationError):
-        lower_level_search(TOY, np.zeros(2), OptimizerConfig(kind=CMAES, pop_size=5),
+        lower_level_search(TOY, np.zeros(2), LowerConfig(pop_size=5),
                            TerminationRule(fes_l_max=4), ledger, rng=np.random.default_rng(0))
     assert ledger.fes_l == 0
 
@@ -113,16 +114,18 @@ def test_lower_search_stagnation_stops_early():
     )
     rule = TerminationRule(fes_l_max=250)
     ledger = EvalLedger()
-    lower_level_search(p, np.zeros(2), OptimizerConfig(kind=CMAES, pop_size=5),
+    lower_level_search(p, np.zeros(2), LowerConfig(pop_size=5),
                        rule, ledger, rng=np.random.default_rng(0))
     assert ledger.fes_l < 100
 
 
 def test_environmental_selection_feasibility_first():
-    pool = [make_ind(5.0), make_ind(1.0, violation=2.0), make_ind(3.0),
-            make_ind(-9.0, violation=0.5), make_ind(4.0)]
-    kept = environmental_selection(pool, 3)
-    assert [ind.F for ind in kept] == [3.0, 4.0, 5.0]
+    # feasibles by F, then every feasible before any infeasible, then
+    # infeasibles by violation whatever their F
+    pool = [make_ind(5.0), make_ind(0.0, violation=2.0), make_ind(3.0),
+            make_ind(9.0, violation=1.0), make_ind(4.0)]
+    assert [ind.F for ind in environmental_selection(pool, 3)] == [3.0, 4.0, 5.0]
+    assert [ind.F for ind in environmental_selection(pool, 5)] == [3.0, 4.0, 5.0, 9.0, 0.0]
 
 
 def test_environmental_selection_stable_ties():
@@ -163,24 +166,16 @@ def test_best_tracker_elitist_history():
     assert tracker.best.F == 2.0
 
 
-@pytest.mark.parametrize("kind", ["de", "cmaes"])
-def test_upper_variation_count_and_bounds(kind):
+def test_upper_variation_count_and_bounds():
     rng = np.random.default_rng(0)
     parents = [make_ind(float(i)) for i in range(6)]
     for i, ind in enumerate(parents):
         ind.x_u = rng.uniform(-4, 9, 2)
     bounds = np.tile([-5.0, 10.0], (2, 1))
-    out = upper_variation(parents, OptimizerConfig(kind=kind, pop_size=6), bounds, rng)
+    out = upper_variation(parents, UpperConfig(pop_size=6), bounds, rng)
     assert len(out) == 6  # one offspring per parent
     for x in out:
         assert np.all(x >= -5.0) and np.all(x <= 10.0)
-
-
-def test_upper_variation_unknown_kind():
-    parents = [make_ind(0.0) for _ in range(4)]
-    with pytest.raises(ContractViolationError):
-        upper_variation(parents, OptimizerConfig(kind="x", pop_size=4),
-                        np.tile([-1.0, 1.0], (2, 1)), np.random.default_rng(0))
 
 
 class TestFullRun:
@@ -243,7 +238,7 @@ class TestWarmStart:
         # (x_l*, f*) of the first SMD1 task of protocol seed 0, as computed by
         # the search before warm starts existed
         p = get_problem("smd1")
-        cfg = HarnessConfig(problem="smd1", upper=OptimizerConfig(pop_size=20)).resolved(p)
+        cfg = HarnessConfig(problem="smd1", upper=UpperConfig(pop_size=20)).resolved(p)
         rng = np.random.default_rng(0)
         x_u = rng.uniform(p.upper_bounds[:, 0], p.upper_bounds[:, 1])
         ledger = EvalLedger()
@@ -261,7 +256,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(nested, "lower_level_search", recording)
         run_nested_blea(p, HarnessConfig(
-            problem="smd1", upper=OptimizerConfig(pop_size=20),
+            problem="smd1", upper=UpperConfig(pop_size=20),
             termination=TerminationRule(fes_u_max=25)), seed=0)
         assert starts[0] is None
         assert len(starts) == 25 and all(s is not None for s in starts[1:])
@@ -299,7 +294,7 @@ class TestWarmStart:
         monkeypatch.setattr(nested, "lower_level_search", task)
         monkeypatch.setattr(nested, "confirm_elite", counted_confirm)
         rule = TerminationRule(fes_u_max=400, fes_u_var_window=40, fes_l_max=60)
-        cfg = HarnessConfig(problem="smd5", mode=mode, upper=OptimizerConfig(pop_size=10),
+        cfg = HarnessConfig(problem="smd5", mode=mode, upper=UpperConfig(pop_size=10),
                             termination=rule)
         record = run_single(cfg, 1)
         assert confirmations, "the run never reached the stagnation confirmation"

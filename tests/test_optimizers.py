@@ -1,11 +1,11 @@
-"""Single-level engines: convergence, accounting, feasibility handling."""
+"""Search engines: convergence, accounting, feasibility handling."""
 
 import numpy as np
 import pytest
 
-from crblea import OptimizerConfig, init_search, step
+from crblea import LowerConfig, UpperConfig, harness_config_from_dict, init_search, step
 from crblea.errors import ConfigurationError
-from crblea.optimizers import CMAES, DE, feasibility_first_compare
+from crblea.optimizers import de_trial
 
 BOUNDS3 = np.tile([-5.0, 5.0], (3, 1))
 
@@ -32,18 +32,46 @@ def run_engine(cfg, objective, bounds, generations, seed=0):
     return state
 
 
+def run_de(objective, bounds, generations, pop=20, seed=0):
+    """rand/1/bin with trials drawn from the parents, as at the upper level,
+    and one-to-one replacement; returns the final population and fitness."""
+    cfg = UpperConfig(pop_size=pop)
+    low, high = bounds[:, 0], bounds[:, 1]
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(low, high, size=(pop, len(bounds)))
+    f = np.array([objective(x)[0] for x in X])
+    for _ in range(generations):
+        trials = [de_trial(X, i, cfg, low, high, rng) for i in range(pop)]
+        for i, trial in enumerate(trials):
+            if (ft := objective(trial)[0]) <= f[i]:
+                X[i], f[i] = trial, ft
+    return X, f
+
+
+def final_points(engine, bounds, generations, seed=0):
+    """Points of a 6-member sphere run of the upper ("de") or lower ("cmaes")
+    engine that a caller can see at its end, and the best fitness."""
+    if engine == "de":
+        X, f = run_de(sphere, bounds, generations, pop=6, seed=seed)
+        return X, f.min()
+    state = run_engine(LowerConfig(pop_size=6), sphere, bounds, generations, seed=seed)
+    return np.vstack([state.population, state.best_x]), state.best_fitness
+
+
 class TestConfigValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            OptimizerConfig(kind="anneal").validate()
+        # each level has one engine, so the engine is not a knob at all
+        for level in ("upper", "lower"):
+            with pytest.raises(ConfigurationError, match=f"{level}.kind: unknown key"):
+                harness_config_from_dict({level: {"kind": "de"}})
 
     def test_de_needs_four(self):
         with pytest.raises(ConfigurationError):
-            OptimizerConfig(kind=DE, pop_size=3).validate()
+            UpperConfig(pop_size=3).validate()
 
     def test_cma_needs_two(self):
         with pytest.raises(ConfigurationError):
-            OptimizerConfig(kind=CMAES, pop_size=1).validate()
+            LowerConfig(pop_size=1).validate()
 
     @pytest.mark.parametrize("field,value", [
         ("de_scale", 0.0), ("de_scale", 2.5),
@@ -51,25 +79,18 @@ class TestConfigValidation:
         ("cma_sigma0", 0.0),
     ])
     def test_knob_ranges(self, field, value):
-        with pytest.raises(ConfigurationError):
-            OptimizerConfig(**{field: value}).validate()
-
-
-def test_feasibility_first_compare():
-    assert feasibility_first_compare((1.0, 0.0), (2.0, 0.0)) == -1  # better fitness
-    assert feasibility_first_compare((9.0, 0.0), (0.0, 0.5)) == -1  # feasible wins
-    assert feasibility_first_compare((0.0, 2.0), (9.0, 1.0)) == 1   # lower violation
-    assert feasibility_first_compare((1.0, 0.0), (1.0, 0.0)) == 0
+        cls = LowerConfig if field == "cma_sigma0" else UpperConfig
+        with pytest.raises(ConfigurationError, match=field):
+            cls(pop_size=10, **{field: value}).validate()
 
 
 def test_de_converges_on_sphere():
-    cfg = OptimizerConfig(kind=DE, pop_size=20)
-    state = run_engine(cfg, sphere, BOUNDS3, 100)
-    assert state.best_fitness < 1e-6
+    _, f = run_de(sphere, BOUNDS3, 100)
+    assert f.min() < 1e-6
 
 
 def test_cma_converges_on_sphere_small_pop():
-    cfg = OptimizerConfig(kind=CMAES, pop_size=5)
+    cfg = LowerConfig(pop_size=5)
     state = run_engine(cfg, sphere, BOUNDS3, 49)  # 250 evaluations total
     assert state.best_fitness < 1e-3
     assert run_engine(cfg, sphere, BOUNDS3, 100).best_fitness < 1e-8
@@ -84,52 +105,42 @@ def test_cma_converges_on_rotated_ellipsoid():
         z = Q @ (x - 0.5)
         return float(np.sum(scales * z**2)), 0.0
 
-    cfg = OptimizerConfig(kind=CMAES, pop_size=8)
+    cfg = LowerConfig(pop_size=8)
     state = run_engine(cfg, ellipsoid, BOUNDS3, 120)
     assert state.best_fitness < 1e-6
 
 
-@pytest.mark.parametrize("kind,pop", [(DE, 10), (CMAES, 6)])
-def test_exact_evaluation_count(kind, pop):
+def test_exact_evaluation_count():
     obj, calls = counted(sphere)
-    cfg = OptimizerConfig(kind=kind, pop_size=pop)
-    run_engine(cfg, obj, BOUNDS3, 7)
-    assert calls[0] == pop * 8  # init + 7 generations, one FE per candidate
+    run_engine(LowerConfig(pop_size=6), obj, BOUNDS3, 7)
+    assert calls[0] == 6 * 8  # init + 7 generations, one FE per candidate
 
 
-@pytest.mark.parametrize("kind", [DE, CMAES])
-def test_population_respects_bounds(kind):
-    bounds = np.tile([0.2, 0.7], (3, 1))
-    cfg = OptimizerConfig(kind=kind, pop_size=6)
-    state = run_engine(cfg, sphere, bounds, 20)
-    assert np.all(state.population >= 0.2) and np.all(state.population <= 0.7)
-    assert np.all(state.best_x >= 0.2) and np.all(state.best_x <= 0.7)
+@pytest.mark.parametrize("engine", ["de", "cmaes"])
+def test_population_respects_bounds(engine):
+    X, _ = final_points(engine, np.tile([0.2, 0.7], (3, 1)), 20)
+    assert np.all(X >= 0.2) and np.all(X <= 0.7)
 
 
-@pytest.mark.parametrize("kind,tol", [(DE, 1.0), (CMAES, 0.05)])
-def test_feasibility_first_best(kind, tol):
+def test_feasibility_first_best():
     # feasible region is x0 >= 1; unconstrained optimum (origin) is infeasible.
-    # Greedy DE polishes a boundary optimum slowly, hence its looser tolerance.
     def constrained(x):
         return float(np.sum(x**2)), float(max(0.0, 1.0 - x[0]))
 
-    cfg = OptimizerConfig(kind=kind, pop_size=10)
-    state = run_engine(cfg, constrained, BOUNDS3, 120)
+    state = run_engine(LowerConfig(pop_size=10), constrained, BOUNDS3, 120)
     assert state.best_violation == 0.0
-    assert state.best_fitness == pytest.approx(1.0, abs=tol)
+    assert state.best_fitness == pytest.approx(1.0, abs=0.05)
 
 
-@pytest.mark.parametrize("kind", [DE, CMAES])
-def test_seeded_determinism(kind):
-    cfg = OptimizerConfig(kind=kind, pop_size=6)
-    s1 = run_engine(cfg, sphere, BOUNDS3, 15, seed=42)
-    s2 = run_engine(cfg, sphere, BOUNDS3, 15, seed=42)
-    assert np.array_equal(s1.population, s2.population)
-    assert s1.best_fitness == s2.best_fitness
+@pytest.mark.parametrize("engine", ["de", "cmaes"])
+def test_seeded_determinism(engine):
+    (X1, f1), (X2, f2) = (final_points(engine, BOUNDS3, 15, seed=42) for _ in range(2))
+    assert np.array_equal(X1, X2)
+    assert f1 == f2
 
 
 def test_best_so_far_monotone():
-    cfg = OptimizerConfig(kind=DE, pop_size=8)
+    cfg = LowerConfig(pop_size=8)
     rng = np.random.default_rng(7)
     state = init_search(cfg, BOUNDS3, sphere, rng=rng)
     best = state.best_fitness
@@ -145,7 +156,6 @@ def test_cma_eigenvalue_floor():
     def flat(x):
         return 0.0, 0.0
 
-    cfg = OptimizerConfig(kind=CMAES, pop_size=5)
-    state = run_engine(cfg, flat, BOUNDS3, 80)
-    assert state.min_eigenvalue() >= 1e-14
+    state = run_engine(LowerConfig(pop_size=5), flat, BOUNDS3, 80)
+    assert state.eigvals.min() >= 1e-14
     assert np.all(np.isfinite(state.population))
