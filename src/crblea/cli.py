@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import MODES, HarnessConfig, harness_config_from_dict
 from .crframework import run_cr_blea
@@ -84,6 +83,8 @@ def execute_runs(cfg: HarnessConfig, jobs=1):
     seeds = [cfg.base_seed + i for i in range(cfg.runs)]
     workers = min(jobs, os.cpu_count() or 1, len(seeds))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
+
         cfg_dict = _cfg_to_dict(cfg)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_single_from_dict, [cfg_dict] * len(seeds), seeds))

@@ -135,10 +135,16 @@ class ResponseArchive:
     def nearest(self, x_u, k):
         """Responses of the ``k`` archived upper points nearest to ``x_u``,
         nearest first; None while the archive is empty."""
-        if not self.members:
+        n = len(self.members)
+        if not n:
             return None
-        d = ((self.points[:len(self.members)] - (x_u - self.low) * self.scale) ** 2).sum(axis=1)
-        return np.array([self.members[i].x_l_star for i in np.argsort(d, kind="stable")[:k]])
+        d = ((self.points[:n] - (x_u - self.low) * self.scale) ** 2).sum(axis=1)
+        k = min(k, n)
+        # every index whose distance ties the k-th least, in index order, so
+        # the stable sort below orders ties as a full stable argsort would
+        near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+        order = near[np.argsort(d[near], kind="stable")[:k]]
+        return np.array([self.members[i].x_l_star for i in order])
 
 
 def _solve(p: ProblemSpec, ind, cfg, ledger, rng, archive):

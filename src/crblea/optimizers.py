@@ -9,10 +9,12 @@ points by violation.  Candidates are clipped to the box before evaluation,
 so every call to the objective costs exactly one function evaluation.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ConfigurationError
 
@@ -76,11 +78,55 @@ def de_trial(X, i, cfg, low, high, rng):
     return np.clip(np.where(cross, mutant, X[i]), low, high)
 
 
+@dataclass(frozen=True)
+class _Strategy:
+    """The constants of a (mu/mu_w, lambda) CMA-ES in d dimensions (Hansen,
+    arXiv:1604.00772): recombination weights, learning rates and damping,
+    and the per-generation gains of the path and covariance updates."""
+
+    mu: int
+    weights: np.ndarray  # read-only: one array serves every search of this shape
+    cc: float
+    cs: float
+    c1: float
+    cmu: float
+    damps: float
+    chi_n: float
+    ps_gain: float
+    pc_gain: float
+    hsig_limit: float
+    C_decay: float
+
+
+@functools.cache
+def _strategy(lam, d):
+    """The ``_Strategy`` of a (lam, d) search, computed once per shape."""
+    mu = lam // 2
+    w = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
+    w /= w.sum()
+    w.setflags(write=False)
+    mueff = 1.0 / np.sum(w**2)
+    cc = (4 + mueff / d) / (d + 4 + 2 * mueff / d)
+    cs = (mueff + 2) / (d + mueff + 5)
+    c1 = 2 / ((d + 1.3) ** 2 + mueff)
+    cmu = min(1 - c1, 2 * (mueff - 2 + 1 / mueff) / ((d + 2) ** 2 + mueff))
+    chi_n = math.sqrt(d) * (1 - 1 / (4 * d) + 1 / (21 * d * d))
+    return _Strategy(
+        mu=mu, weights=w, cc=cc, cs=cs, c1=c1, cmu=cmu,
+        damps=1 + 2 * max(0.0, math.sqrt((mueff - 1) / (d + 1)) - 1) + cs,
+        chi_n=chi_n,
+        ps_gain=math.sqrt(cs * (2 - cs) * mueff),
+        pc_gain=math.sqrt(cc * (2 - cc) * mueff),
+        hsig_limit=(1.4 + 2 / (d + 1)) * chi_n,
+        C_decay=1 - c1 - cmu,
+    )
+
+
 class CmaState:
     """(mu/mu_w, lambda) CMA-ES with eigenvalue flooring for numeric repair.
 
-    Holds the current population, its scores, and the feasibility-first
-    best-so-far point.
+    Holds the current population and the feasibility-first best-so-far
+    point.
     """
 
     def __init__(self, config, bounds, objective, rng, start):
@@ -88,31 +134,14 @@ class CmaState:
         self.config = config
         self.low, self.high = bounds[:, 0], bounds[:, 1]
         self.dim = d = len(bounds)
+        self.strategy = _strategy(config.pop_size, d)
         self.rng = rng
         self.generation = 0
         self.best_x = None
         self.best_fitness = math.inf
         self.best_violation = math.inf
         self.population = self._initial_points(start)
-        self.fitness, self.violation = self._evaluate_all(self.population, objective)
-
-        mu = config.pop_size // 2
-        w = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
-        w /= w.sum()
-        self.weights = w
-        self.mu = mu
-        self.mueff = 1.0 / np.sum(w**2)
-        self.cc = (4 + self.mueff / d) / (d + 4 + 2 * self.mueff / d)
-        self.cs = (self.mueff + 2) / (d + self.mueff + 5)
-        self.c1 = 2 / ((d + 1.3) ** 2 + self.mueff)
-        self.cmu = min(1 - self.c1, 2 * (self.mueff - 2 + 1 / self.mueff) / ((d + 2) ** 2 + self.mueff))
-        self.damps = 1 + 2 * max(0.0, math.sqrt((self.mueff - 1) / (d + 1)) - 1) + self.cs
-        self.chi_n = math.sqrt(d) * (1 - 1 / (4 * d) + 1 / (21 * d * d))
-        # per-generation constants of the path and covariance updates
-        self.ps_gain = math.sqrt(self.cs * (2 - self.cs) * self.mueff)
-        self.pc_gain = math.sqrt(self.cc * (2 - self.cc) * self.mueff)
-        self.hsig_limit = (1.4 + 2 / (d + 1)) * self.chi_n
-        self.C_decay = 1 - self.c1 - self.cmu
+        self._evaluate(self.population, objective)
 
         widths = self.high - self.low
         if start is None:
@@ -135,12 +164,6 @@ class CmaState:
     def best(self):
         return self.best_x, self.best_fitness
 
-    def _consider(self, x, fitness, violation):
-        if _ff_key(fitness, violation) < _ff_key(self.best_fitness, self.best_violation):
-            self.best_x = x.copy()
-            self.best_fitness = fitness
-            self.best_violation = violation
-
     def _initial_points(self, start):
         """``start`` rows (clipped to the box) followed by uniform samples up
         to the population size."""
@@ -151,19 +174,34 @@ class CmaState:
         fill = self.rng.uniform(self.low, self.high, size=(n - len(start), self.dim))
         return np.concatenate([start, fill])
 
-    def _evaluate_all(self, X, objective):
-        fit = np.empty(len(X))
-        viol = np.empty(len(X))
-        for i, x in enumerate(X):
-            f, v = objective(x)
-            fit[i] = f
-            viol[i] = v
-            self._consider(x, f, v)
-        return fit, viol
+    def _evaluate(self, X, objective):
+        """Score the rows of ``X`` in order and return their
+        feasibility-first keys.
+
+        The first row with the least key replaces the best-so-far point if
+        it beats it.  Rows scored before the objective raises (a budget
+        stop) still count towards the best-so-far point.
+        """
+        scores = []
+        try:
+            for x in X:
+                scores.append(objective(x))
+        finally:
+            keys = [_ff_key(f, v) for f, v in scores]
+            if keys:
+                i = min(range(len(keys)), key=keys.__getitem__)
+                if keys[i] < _ff_key(self.best_fitness, self.best_violation):
+                    self.best_x = X[i].copy()
+                    self.best_fitness, self.best_violation = scores[i]
+        return keys
 
     def _decompose(self):
         self.C = (self.C + self.C.T) / 2.0
-        vals, vecs = np.linalg.eigh(self.C)
+        # the gufunc behind np.linalg.eigh, without the wrapper's per-call
+        # checks; a failed decomposition comes back as NaN
+        vals, vecs = _umath_linalg.eigh_lo(self.C, signature="d->dd")
+        if vals[0] != vals[0]:
+            raise LinAlgError("Eigenvalues did not converge")
         vals = np.maximum(vals, 1e-14)
         self.eigvals = vals
         self.B = vecs
@@ -174,35 +212,35 @@ class CmaState:
         self.inv_sqrt_C = (vecs * (1.0 / self.D)) @ vecs.T
 
     def _step(self, objective):
+        s = self.strategy
         lam = self.config.pop_size
 
         Z = self.rng.standard_normal((lam, self.dim))
         Y = Z @ self.BD.T
         X = (self.mean + self.sigma * Y).clip(self.low, self.high)
-        fit, viol = self._evaluate_all(X, objective)
-        self.population, self.fitness, self.violation = X, fit, viol
+        keys = self._evaluate(X, objective)
+        self.population = X
 
-        keys = [_ff_key(f, v) for f, v in zip(fit.tolist(), viol.tolist())]
-        sel = X.take(sorted(range(lam), key=keys.__getitem__)[: self.mu], axis=0)
+        sel = X.take(sorted(range(lam), key=keys.__getitem__)[: s.mu], axis=0)
         old_mean = self.mean
-        self.mean = self.weights @ sel
+        self.mean = s.weights @ sel
         y_w = (self.mean - old_mean) / self.sigma
 
-        self.ps = (1 - self.cs) * self.ps + self.ps_gain * (self.inv_sqrt_C @ y_w)
+        self.ps = (1 - s.cs) * self.ps + s.ps_gain * (self.inv_sqrt_C @ y_w)
         ps_norm = math.sqrt(self.ps.dot(self.ps))
         gen = self.generation + 1
-        hsig = ps_norm / math.sqrt(1 - (1 - self.cs) ** (2 * gen)) < self.hsig_limit
-        self.pc = (1 - self.cc) * self.pc + hsig * self.pc_gain * y_w
+        hsig = ps_norm / math.sqrt(1 - (1 - s.cs) ** (2 * gen)) < s.hsig_limit
+        self.pc = (1 - s.cc) * self.pc + hsig * s.pc_gain * y_w
 
         ys = (sel - old_mean) / self.sigma
-        rank_mu = (self.weights[:, None] * ys).T @ ys
-        delta_hsig = (1 - hsig) * self.cc * (2 - self.cc)
+        rank_mu = (s.weights[:, None] * ys).T @ ys
+        delta_hsig = (1 - hsig) * s.cc * (2 - s.cc)
         self.C = (
-            self.C_decay * self.C
-            + self.c1 * (self.pc[:, None] * self.pc + delta_hsig * self.C)
-            + self.cmu * rank_mu
+            s.C_decay * self.C
+            + s.c1 * (self.pc[:, None] * self.pc + delta_hsig * self.C)
+            + s.cmu * rank_mu
         )
-        self.sigma *= math.exp((self.cs / self.damps) * (ps_norm / self.chi_n - 1))
+        self.sigma *= math.exp((s.cs / s.damps) * (ps_norm / s.chi_n - 1))
         self._decompose()
         self.generation = gen
 

@@ -196,18 +196,21 @@ def _round_off(v):
 
 @functools.cache
 def _others(k):
-    """Row j selects every entry of a length-k block except entry j."""
-    return ~np.eye(k, dtype=bool)
+    """Row j holds the indices 0..k-1 except j, in increasing order."""
+    idx = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)
+    idx.setflags(write=False)  # one cached array serves every caller
+    return idx
 
 
 def _cubic(v, tail=0.0):
     """v_j - sum_{i != j} v_i^3 - tail for every j (SMD10 and SMD12)."""
-    others = _others(len(v))
-    return [v[j] - (v[others[j]] ** 3).sum() - tail for j in range(len(v))]
+    # take and add.reduce gather and sum as indexing and .sum would, with
+    # less per-call overhead
+    return v - np.add.reduce(np.power(v, 3).take(_others(len(v))), axis=1) - tail
 
 
 def _cubic_upper(xu1, xu2):
-    return _cubic(xu1, (xu2**3).sum()) + _cubic(xu2, (xu1**3).sum())
+    return np.concatenate((_cubic(xu1, (xu2**3).sum()), _cubic(xu2, (xu1**3).sum())))
 
 
 @dataclass(frozen=True)
@@ -262,8 +265,8 @@ _SMD = (
             g=lambda xl1, xl2, t3: _round_off(np.concatenate((xl1, xl2)))),
     _SmdRow(_sq_from_2, _sq, _sq_from_2, _sq_from_2, _ident, np.tan, True, _BOX, _TAN_BOX,
             optimum=(2, 2, 2, np.arctan(2.0)),
-            G=lambda xu1, xu2, xl2: np.array(_cubic_upper(xu1, xu2)),
-            g=lambda xl1, xl2, t3: np.array(_cubic(xl1)),
+            G=lambda xu1, xu2, xl2: _cubic_upper(xu1, xu2),
+            g=lambda xl1, xl2, t3: _cubic(xl1),
             F_r=lambda q, r: q * 4.0),  # x_l1 = 2 contributes 4 per coordinate
     _SmdRow(_sq, _neg_sq, _sq, _sq, _ident, np.log, True, (-1, 1), (1 / np.e, np.e),
             optimum=(0, 0, 0, 1),
@@ -271,8 +274,8 @@ _SMD = (
             g=lambda xl1, xl2, t3: np.array([t3 - 1.0])),
     _SmdRow(_sq_from_2, _sq, _sq_from_2, _sq_from_2, _ident, np.tan, True,
             (-14.1, 14.1), (-1.5, 1.5), optimum=(2, 1.5, 2, np.arctan(1.5)),
-            G=lambda xu1, xu2, xl2: np.concatenate([xu2 - np.tan(xl2), _cubic_upper(xu1, xu2)]),
-            g=lambda xl1, xl2, t3: np.concatenate([[t3 - 1.0], _cubic(xl1)]),
+            G=lambda xu1, xu2, xl2: np.concatenate((xu2 - np.tan(xl2), _cubic_upper(xu1, xu2))),
+            g=lambda xl1, xl2, t3: np.concatenate(((t3 - 1.0,), _cubic(xl1))),
             L=lambda xl2: np.tan(np.abs(xl2)).sum(),
             F_r=lambda q, r: q * 4.0 + r * (0.25 + 1.5)),
 )

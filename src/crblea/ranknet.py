@@ -176,21 +176,40 @@ def _forward_cached(params, X):
 
 
 def _backward(params, cache, dS):
+    """Gradients of every weight array, flattened and joined in
+    ``_PARAM_NAMES`` order (the layout of ``_flatten``)."""
     X, A0, Z, A1, H1, A2, H2 = cache
-    g = {}
-    g["w3"] = H2.T @ dS
-    g["b3"] = np.array([dS.sum()])
     dA2 = dS[:, None] * params.w3 * (A2 > 0)
-    g["W2"] = dA2.T @ H1
-    g["b2"] = dA2.sum(axis=0)
     dA1 = (dA2 @ params.W2) * (A1 > 0)
-    g["W1"] = dA1.T @ Z
-    g["b1"] = dA1.sum(axis=0)
     dH0 = dA1 @ params.W1[:, params.m:]
     dA0 = dH0 * (A0 > 0) if params.psi_relu else dH0
-    g["W_psi"] = dA0.T @ X
-    g["b_psi"] = dA0.sum(axis=0)
-    return g
+    return np.concatenate([
+        (dA0.T @ X).ravel(), dA0.sum(axis=0),
+        (dA1.T @ Z).ravel(), dA1.sum(axis=0),
+        (dA2.T @ H1).ravel(), dA2.sum(axis=0),
+        H2.T @ dS, [dS.sum()],
+    ])
+
+
+def _slices(params):
+    """``(name, slice, shape)`` of every weight array in the flat layout."""
+    out, start = [], 0
+    for k in _PARAM_NAMES:
+        shape = getattr(params, k).shape
+        size = math.prod(shape)
+        out.append((k, slice(start, start + size), shape))
+        start += size
+    return out
+
+
+def _flatten(params):
+    """Copy the weights of ``params`` into one vector and rebind each weight
+    attribute to its view of that vector; returns the vector."""
+    layout = _slices(params)
+    theta = np.concatenate([getattr(params, k).ravel() for k in _PARAM_NAMES])
+    for k, sl, shape in layout:
+        setattr(params, k, theta[sl].reshape(shape))
+    return theta
 
 
 def subnet_batch(params, X):
@@ -206,8 +225,10 @@ def subnet_forward(params, x):
     return float(subnet_batch(params, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _sigmoid(t):
-    e = np.exp(-np.abs(t))  # in (0, 1]: cannot overflow for either sign of t
+def _sigmoid(t, e=None):
+    """Logistic function of ``t``; ``e`` is exp(-|t|) if the caller has it."""
+    if e is None:
+        e = np.exp(-np.abs(t))  # in (0, 1]: cannot overflow for either sign of t
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -235,19 +256,16 @@ def pdp(pool, normalizer) -> PairDataset:
     N = len(pool)
     if N < 2:
         raise ContractViolationError("pairing needs a pool of at least 2")
-    F = []
-    for ind in pool:
-        if ind.F is None:
-            raise ContractViolationError("pool member has no upper objective value")
-        F.append(ind.F)
+    if any(ind.F is None for ind in pool):
+        raise ContractViolationError("pool member has no upper objective value")
+    F = np.array([ind.F for ind in pool], dtype=float)
     X = np.array([normalizer(ind.x_u) for ind in pool])
-    xa, xb, labels = [], [], []
-    for i in range(N):
-        for j in range(i + 1, N):
-            l = float(np.sign(F[j] - F[i]))
-            xa.append(X[i]); xb.append(X[j]); labels.append((l + 1.0) / 2.0)
-            xa.append(X[j]); xb.append(X[i]); labels.append((-l + 1.0) / 2.0)
-    return PairDataset(np.array(xa), np.array(xb), np.array(labels))
+    # pair {i, j} (i < j, row-major) gives [x_i, x_j] and then [x_j, x_i]
+    i, j = np.triu_indices(N, 1)
+    l = np.sign(F[j] - F[i])
+    labels = np.stack([(l + 1.0) / 2.0, (-l + 1.0) / 2.0], axis=1).ravel()
+    return PairDataset(X[np.stack([i, j], axis=1).ravel()], X[np.stack([j, i], axis=1).ravel()],
+                       labels)
 
 
 def _distinct_rows(dataset: PairDataset):
@@ -261,12 +279,14 @@ def _distinct_rows(dataset: PairDataset):
 
 def _loss_and_grads(params, X, ia, ib, labels):
     S, cache = _forward_cached(params, X)
-    d = S[ia] - S[ib]
-    # softplus(+-d) = log1p(exp(-|d|)) + max(+-d, 0); the log term is shared
-    log_term = np.log1p(np.exp(-np.abs(d)))
-    loss = float(np.mean(labels * (log_term + np.maximum(-d, 0.0))
-                         + (1.0 - labels) * (log_term + np.maximum(d, 0.0))))
-    dd = (_sigmoid(d) - labels) / len(labels)
+    d = S.take(ia) - S.take(ib)
+    # softplus(+-d) = log1p(e) + max(+-d, 0) and sigmoid(d) share
+    # e = exp(-|d|); add.reduce / B is np.mean without its wrapper
+    e = np.exp(-np.abs(d))
+    log_term = np.log1p(e)
+    loss = float(np.add.reduce(labels * (log_term + np.maximum(-d, 0.0))
+                               + (1.0 - labels) * (log_term + np.maximum(d, 0.0))) / len(labels))
+    dd = (_sigmoid(d, e) - labels) / len(labels)
     dS = np.bincount(ia, dd, len(X)) - np.bincount(ib, dd, len(X))
     return loss, _backward(params, cache, dS)
 
@@ -276,9 +296,10 @@ def pair_loss_and_grads(params, dataset: PairDataset):
 
     A pool of N points gives N(N-1) pairs, so the subnet runs once per
     distinct point; pair terms gather those scores and scatter their
-    gradients back.
+    gradients back.  The gradients come as a dict keyed by weight name.
     """
-    return _loss_and_grads(params, *_distinct_rows(dataset), dataset.labels)
+    loss, grads = _loss_and_grads(params, *_distinct_rows(dataset), dataset.labels)
+    return loss, {k: grads[sl].reshape(shape) for k, sl, shape in _slices(params)}
 
 
 def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
@@ -294,8 +315,9 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
         raise ContractViolationError("cannot train on an empty dataset")
     rows = _distinct_rows(dataset)
     out = params.copy()
-    adam_m = {k: np.zeros_like(getattr(out, k)) for k in _PARAM_NAMES}
-    adam_v = {k: np.zeros_like(getattr(out, k)) for k in _PARAM_NAMES}
+    theta = _flatten(out)  # Adam updates every weight array at once
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
     best_loss = math.inf
     since_improvement = 0
     for t in range(1, epochs + 1):
@@ -310,12 +332,11 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
             since_improvement += 1
             if since_improvement >= stop_patience:
                 break
-        for k in _PARAM_NAMES:
-            m = adam_m[k] = ADAM_BETA1 * adam_m[k] + (1 - ADAM_BETA1) * grads[k]
-            v = adam_v[k] = ADAM_BETA2 * adam_v[k] + (1 - ADAM_BETA2) * grads[k] ** 2
-            m_hat = m / (1 - ADAM_BETA1**t)
-            v_hat = v / (1 - ADAM_BETA2**t)
-            setattr(out, k, getattr(out, k) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grads
+        adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grads**2
+        m_hat = adam_m / (1 - ADAM_BETA1**t)
+        v_hat = adam_v / (1 - ADAM_BETA2**t)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     final_loss, _ = _loss_and_grads(out, *rows, dataset.labels)
     if not math.isfinite(final_loss):
         raise TrainingDivergenceError(f"non-finite training loss {final_loss!r}")

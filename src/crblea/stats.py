@@ -1,6 +1,5 @@
 """Run records, accuracy/resource metrics, and experiment statistics."""
 
-import hashlib
 import json
 import math
 import statistics
@@ -165,6 +164,8 @@ def config_fingerprint(problem_name, termination):
 
     Comparisons refuse to mix records whose fingerprints differ.
     """
+    import hashlib  # off the import path of a run
+
     payload = {"problem": problem_name, "termination": asdict(termination)}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 

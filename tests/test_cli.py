@@ -1,5 +1,6 @@
 """Command-line interface: verbs, record files, overrides, error paths."""
 
+import concurrent.futures
 import contextlib
 import csv
 import json
@@ -137,7 +138,7 @@ def test_parallel_runs_capped_and_equal_to_sequential(monkeypatch, sequential_cr
         pools.append(max_workers)
         yield types.SimpleNamespace(map=map)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     parallel = [r.to_dict() for r in cli.execute_runs(cfg, jobs=jobs)]
     assert pools == sizes  # one core: no pool at all

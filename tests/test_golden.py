@@ -17,7 +17,7 @@ import pytest
 
 from crblea import EvalLedger, TerminationRule
 from crblea.cli import run_single
-from crblea.problems import evaluate_lower, evaluate_upper, get_problem, problem_names
+from crblea.problems import evaluate_lower, evaluate_upper, get_problem, make_smd, problem_names
 from _corpus import CACHE_DIR, protocol_config
 
 
@@ -95,9 +95,7 @@ def test_every_problem_is_pinned():
     assert sorted(EVALUATION_SHA1) == problem_names()
 
 
-@pytest.mark.parametrize("name", sorted(EVALUATION_SHA1))
-def test_problem_evaluations_sha1(name):
-    p = get_problem(name)
+def _evaluations_sha1(p):
     rng = np.random.default_rng(7)
     ledger = EvalLedger()
     h = hashlib.sha1()
@@ -109,4 +107,25 @@ def test_problem_evaluations_sha1(name):
         h.update(np.array([f, F, feasible, upper_feasible], dtype=float).tobytes()
                  + g.tobytes() + G.tobytes())
     assert (ledger.fes_l, ledger.fes_u) == (64, 64)
-    assert h.hexdigest() == EVALUATION_SHA1[name]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATION_SHA1))
+def test_problem_evaluations_sha1(name):
+    assert _evaluations_sha1(get_problem(name)) == EVALUATION_SHA1[name]
+
+
+# SMD10 and SMD12 at larger (m, n), hashed as above.  At (2, 3) every
+# "other coordinates" sum of their cubic constraints has one term, so only
+# these pins see the order in which a sum of several cubes is added up.
+LARGER_SMD_SHA1 = {
+    (10, 4, 6): "b35ca3603d0dd39cf7e76a785f0d1998b829af57",
+    (10, 6, 9): "e4753889e0b4f3bed476b7444b2741b0816b7073",
+    (12, 4, 6): "abb88df5f50cb273b1388db47d77cef597555407",
+    (12, 6, 9): "2fb69519bb4a07ae0e5ea9bf9903661bb6a53b99",
+}
+
+
+@pytest.mark.parametrize("index, m, n", sorted(LARGER_SMD_SHA1))
+def test_larger_smd_evaluations_sha1(index, m, n):
+    assert _evaluations_sha1(make_smd(index, m, n)) == LARGER_SMD_SHA1[index, m, n]

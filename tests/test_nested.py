@@ -322,6 +322,46 @@ class TestWarmStart:
             assert ledger.fes_l <= cfg.termination.fes_l_max
 
 
+def _archive_of(points):
+    """An archive over the unit square holding one member per upper point;
+    member i's response is [i]."""
+    archive = nested.ResponseArchive(np.tile([0.0, 1.0], (2, 1)))
+    for i, x_u in enumerate(points):
+        archive.add(UpperIndividual(x_u=np.asarray(x_u, dtype=float), x_l_star=np.array([i])))
+    return archive
+
+
+def _stable_order(points, x_u, k):
+    d = ((np.asarray(points, dtype=float) - x_u) ** 2).sum(axis=1)
+    return np.argsort(d, kind="stable")[:k]
+
+
+class TestNearest:
+    def test_empty_archive(self):
+        assert _archive_of([]).nearest(np.array([0.5, 0.5]), 3) is None
+
+    def test_one_member(self):
+        assert _archive_of([[0.2, 0.9]]).nearest(np.array([0.5, 0.5]), 5).tolist() == [[0]]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 9, 12, 40])
+    def test_ties_ordered_as_a_stable_sort(self, k):
+        # duplicate upper points tie exactly, and the ties straddle the k-th place
+        rng = np.random.default_rng(k)
+        base = rng.uniform(0.0, 1.0, (4, 2))
+        points = base[rng.integers(0, 4, 12)]
+        archive = _archive_of(points)
+        for x_u in (base[0], rng.uniform(0.0, 1.0, 2)):
+            got = archive.nearest(x_u, k)[:, 0]
+            assert got.tolist() == _stable_order(points, x_u, k).tolist()
+
+    def test_matches_a_stable_sort_past_the_initial_capacity(self):
+        rng = np.random.default_rng(1)
+        points = np.round(rng.uniform(0.0, 1.0, (150, 2)), 1)  # many exact ties
+        archive = _archive_of(points)
+        for x_u in rng.uniform(0.0, 1.0, (20, 2)):
+            assert archive.nearest(x_u, 5)[:, 0].tolist() == _stable_order(points, x_u, 5).tolist()
+
+
 def test_confirm_elite_corrects_an_unresolved_best():
     # SMD2's F rewards lower residuals (-|x_l1|^2), so a response left far
     # from x_l1 = 0 makes a spuriously good elite.

@@ -159,3 +159,47 @@ def test_cma_eigenvalue_floor():
     state = run_engine(LowerConfig(pop_size=5), flat, BOUNDS3, 80)
     assert state.eigvals.min() >= 1e-14
     assert np.all(np.isfinite(state.population))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+def test_decomposition_bitwise_equals_eigh(d):
+    # _decompose calls the LAPACK gufunc behind np.linalg.eigh directly
+    rng = np.random.default_rng(d)
+    state = init_search(LowerConfig(pop_size=4), np.tile([-1.0, 1.0], (d, 1)), sphere, rng=rng)
+    for _ in range(20):
+        A = rng.standard_normal((d, d))
+        C = A @ A.T + 1e-3 * np.eye(d)
+        state.C = C.copy()
+        state._decompose()
+        vals, vecs = np.linalg.eigh((C + C.T) / 2.0)
+        assert np.array_equal(state.eigvals, vals)
+        assert np.array_equal(state.B, vecs)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_decomposition_failure_raises():
+    state = init_search(LowerConfig(pop_size=4), BOUNDS3, sphere, rng=np.random.default_rng(0))
+    state.C = np.full((3, 3), np.nan)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        state._decompose()
+
+
+def test_rows_scored_before_a_raise_count_towards_the_best():
+    # a budget stop raises part-way through a generation; the rows scored
+    # before it still reach the best-so-far point, the first least row first
+    class Stop(Exception):
+        pass
+
+    state = init_search(LowerConfig(pop_size=6), BOUNDS3, sphere, rng=np.random.default_rng(0))
+    seen = []
+
+    def objective(x):
+        if len(seen) == 3:
+            raise Stop
+        seen.append(x.copy())
+        return (-1.0, -2.0)[len(seen) % 2], 0.0  # -2, -1, -2
+
+    with pytest.raises(Stop):
+        step(state, objective)
+    assert state.best_fitness == -2.0
+    assert np.array_equal(state.best_x, seen[0])

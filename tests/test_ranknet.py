@@ -22,6 +22,9 @@ from crblea import (
     train,
 )
 from crblea.ranknet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     PairDataset,
     pair_loss_and_grads,
     scale_init_to_batch,
@@ -99,6 +102,22 @@ class TestPdp:
     def test_pool_too_small(self):
         with pytest.raises(ContractViolationError):
             pdp(make_pool([1.0]), IDENTITY)
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 25])
+    def test_matches_the_pairwise_loop(self, N):
+        rng = np.random.default_rng(N)
+        pool = make_pool(rng.integers(0, 4, N), rng=rng)  # ties included
+        xa, xb, labels = [], [], []
+        for i in range(N):
+            for j in range(i + 1, N):
+                l = float(np.sign(pool[j].F - pool[i].F))
+                xa += [pool[i].x_u, pool[j].x_u]
+                xb += [pool[j].x_u, pool[i].x_u]
+                labels += [(l + 1.0) / 2.0, (-l + 1.0) / 2.0]
+        ds = pdp(pool, IDENTITY)
+        assert np.array_equal(ds.xa, IDENTITY(np.array(xa)))
+        assert np.array_equal(ds.xb, IDENTITY(np.array(xb)))
+        assert np.array_equal(ds.labels, np.array(labels))
 
     def test_unevaluated_member(self):
         pool = make_pool([1.0, 2.0])
@@ -198,6 +217,35 @@ def test_training_separable_data():
     assert trained.loss_curve[-1] < trained.loss_curve[0]
     assert model_accuracy(trained, ds) >= 0.95
     assert trained.generation_id == params.generation_id + 1
+
+
+def test_train_equals_adam_on_each_weight_array():
+    # train() runs Adam over one flat vector of all weights; it must give
+    # what Adam run on each weight array separately gives
+    rng = np.random.default_rng(4)
+    ds = pdp(make_pool(rng.normal(size=9), rng=rng), IDENTITY)
+    params = RankNetParams.init(2, 3, 6, rng)
+    scale_init_to_batch(params, ds.xa, rng)
+    epochs, lr = 30, 0.1
+    ref = params.copy()
+    m = {k: np.zeros_like(getattr(ref, k)) for k in _PARAM_NAMES}
+    v = {k: np.zeros_like(getattr(ref, k)) for k in _PARAM_NAMES}
+    curve = []
+    for t in range(1, epochs + 1):
+        loss, grads = pair_loss_and_grads(ref, ds)
+        curve.append(loss)
+        for k in _PARAM_NAMES:
+            m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * grads[k]
+            v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * grads[k] ** 2
+            m_hat = m[k] / (1 - ADAM_BETA1**t)
+            v_hat = v[k] / (1 - ADAM_BETA2**t)
+            setattr(ref, k, getattr(ref, k) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    curve.append(pair_loss_and_grads(ref, ds)[0])
+
+    trained = train(params, ds, epochs=epochs, lr=lr, stop_patience=epochs + 1)
+    assert trained.loss_curve == curve
+    for k in _PARAM_NAMES:
+        assert np.array_equal(getattr(trained, k), getattr(ref, k))
 
 
 def test_training_empty_dataset():
