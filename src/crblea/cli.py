@@ -28,7 +28,8 @@ from .crframework import run_cr_blea
 from .errors import ConfigurationError, CrbleaError
 from .nested import run_nested_blea
 from .problems import get_problem, problem_names
-from .stats import RunRecord, accuracy, aggregate, resource_saving_rate, wilcoxon_ranksum
+from .stats import (AGGREGATE_FIELDS, RunRecord, accuracy, aggregate, resource_saving_rate,
+                    wilcoxon_ranksum)
 
 
 def run_single(cfg: HarnessConfig, seed: int) -> RunRecord:
@@ -104,9 +105,6 @@ def cmd_run(cfg: HarnessConfig, jobs=1, out_dir=None):
     return records
 
 
-COMPARE_COLUMNS = ("acc_u", "acc_l", "fes_u", "fes_l", "fes_t")
-
-
 def compare_records(base_records, variant_records):
     """One table row from two homogeneous record groups on the same problem."""
     if base_records[0].problem != variant_records[0].problem:
@@ -121,7 +119,7 @@ def compare_records(base_records, variant_records):
         "variant_mode": variant["mode"],
         "runs": base["runs"],
     }
-    for col in COMPARE_COLUMNS:
+    for col in AGGREGATE_FIELDS:
         row[f"base_{col}"] = base[col]
         row[f"variant_{col}"] = variant[col]
         row[f"mark_{col}"] = wilcoxon_ranksum(

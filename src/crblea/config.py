@@ -45,10 +45,14 @@ class HarnessConfig:
     output_dir: str = "results"
     pop_formula: str = ""
 
+    def __post_init__(self):
+        # the registry name, so "SMD1" and "smd1" are one problem everywhere
+        self.problem = self.problem.lower()
+
     def validate(self):
         if self.mode not in MODES:
             raise ConfigurationError(f"mode: {self.mode!r} not one of {MODES}")
-        if self.problem.lower() not in problem_names():
+        if self.problem not in problem_names():
             raise ConfigurationError(f"problem: unknown name {self.problem!r}")
         if self.runs < 1:
             raise ConfigurationError("runs: must be >= 1")
@@ -67,12 +71,12 @@ class HarnessConfig:
         upper, lower = self.upper, self.lower
         formula = []
         if upper.pop_size == 0:
-            upper = replace(upper, pop_size=max(4, default_upper_pop(p.m, p.n)))
+            upper = replace(upper, pop_size=default_upper_pop(p.m, p.n))
             formula.append(f"upper={POP_FORMULA_UPPER}")
         else:
             formula.append(f"upper=override({upper.pop_size})")
         if lower.pop_size == 0:
-            lower = replace(lower, pop_size=max(4, default_lower_pop(p.n)))
+            lower = replace(lower, pop_size=default_lower_pop(p.n))
             formula.append(f"lower={POP_FORMULA_LOWER}")
         else:
             formula.append(f"lower=override({lower.pop_size})")

@@ -82,7 +82,8 @@ def maybe_retrain(pool: SolutionPool, params: RankNetParams, net_cfg, rng):
                               psi_relu=params.psi_relu, generation_id=params.generation_id,
                               normalizer=Normalizer.fit([ind.x_u for ind in pool.entries]))
     dataset = pdp(pool.entries, base.normalizer)
-    scale_init_to_batch(base, dataset.xa, rng)
+    # each pool point repeated N-1 times, the batch the recorded runs scaled on
+    scale_init_to_batch(base, dataset.X[dataset.ia], rng)
     try:
         params = train(base, dataset, epochs=net_cfg.epochs, lr=net_cfg.lr)
     except TrainingDivergenceError:
@@ -155,7 +156,6 @@ def run_cr_blea(p, cfg, seed):
     ledger.checkpoint(tracker.best.F)
 
     allocated = False
-    trainings_done = 0
     model_acc_history = []
     resamplings = 0
 
@@ -179,12 +179,9 @@ def run_cr_blea(p, cfg, seed):
             selected = [(candidates[i], None) for i in chosen]
         else:
             if pool.full:
-                old_gen = params.generation_id
                 params, acc = maybe_retrain(pool, params, cfg.net, net_rng)
                 if acc is not None:
                     model_acc_history.append(acc)
-                if params.generation_id > old_gen:
-                    trainings_done += 1
                 _refresh_scores(params, P_u)
             selected, resampled = pgr(
                 params, P_u, variation, N_u,
@@ -203,7 +200,7 @@ def run_cr_blea(p, cfg, seed):
         p, cfg, seed, ledger, tracker,
         stop_reason=stop_reason,
         model_acc_history=model_acc_history,
-        trainings_done=trainings_done,
+        trainings_done=params.generation_id,  # each successful training adds one
         resamplings=resamplings,
         pool_trigger=pool.capacity_trigger,
     )

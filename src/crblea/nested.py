@@ -50,8 +50,7 @@ class UpperIndividual:
     x_l_star: Optional[np.ndarray] = None
     F: Optional[float] = None
     f_star: Optional[float] = None
-    feasible: bool = True
-    violation: float = 0.0
+    violation: float = 0.0  # 0 iff every upper constraint holds
     rank_score: Optional[float] = None
     confirmed: bool = False  # lower level re-solved once from the archive
 
@@ -160,7 +159,7 @@ def _solve(p: ProblemSpec, ind, cfg, ledger, rng, archive):
     start = archive.nearest(ind.x_u, cfg.lower.pop_size)
     ind.x_l_star, ind.f_star = lower_level_search(p, ind.x_u, cfg.lower, cfg.termination, ledger,
                                                   rng=rng, start=start)
-    ind.F, G, ind.feasible = evaluate_upper(p, ind.x_u, ind.x_l_star, ledger)
+    ind.F, G, _ = evaluate_upper(p, ind.x_u, ind.x_l_star, ledger)
     ind.violation = _violation(G)
     return ind
 
@@ -264,7 +263,7 @@ def confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive):
     stands only once ``confirm_elite`` has held the best individual."""
     def reason():
         return check_upper_termination(ledger, tracker.history, cfg.termination,
-                                       p.optimum, tracker.best.feasible)
+                                       p.optimum, tracker.best.violation == 0)
 
     if reason() != "stagnation":
         return reason()

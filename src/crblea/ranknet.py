@@ -153,10 +153,15 @@ def scale_init_to_batch(params: RankNetParams, X, rng):
 
 @dataclass
 class PairDataset:
-    """All ordered pairs drawn from one solution pool (size N(N-1))."""
+    """All ordered pairs drawn from one solution pool (size N(N-1)).
 
-    xa: np.ndarray  # (B, m)
-    xb: np.ndarray  # (B, m)
+    Pair ``k`` compares rows ``ia[k]`` and ``ib[k]`` of ``X``, the pool's
+    distinct normalized points, so the subnet runs once per point.
+    """
+
+    X: np.ndarray  # (P, m)
+    ia: np.ndarray  # (B,) row of the first member
+    ib: np.ndarray  # (B,) row of the second member
     labels: np.ndarray  # (B,)
 
     def __len__(self):
@@ -220,11 +225,6 @@ def subnet_batch(params, X):
     return _forward_cached(params, X)[0]
 
 
-def subnet_forward(params, x):
-    """Score one normalized input vector."""
-    return float(subnet_batch(params, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def _sigmoid(t, e=None):
     """Logistic function of ``t``; ``e`` is exp(-|t|) if the caller has it."""
     if e is None:
@@ -234,12 +234,13 @@ def _sigmoid(t, e=None):
 
 def pair_forward(params, x_i, x_j):
     """Probability that ``x_i`` beats ``x_j`` (both normalized)."""
-    return float(_sigmoid(np.array(subnet_forward(params, x_i) - subnet_forward(params, x_j))))
+    S = subnet_batch(params, np.array([x_i, x_j], dtype=float))
+    return float(_sigmoid(S[0] - S[1]))
 
 
 def ranking_score(params, x):
     """Reference-based score: compare against a virtual candidate scoring 0."""
-    return float(_sigmoid(np.array(subnet_forward(params, x))))
+    return float(_sigmoid(subnet_batch(params, np.asarray(x, dtype=float)[None, :])[0]))
 
 
 def ranking_scores(params, X):
@@ -259,25 +260,22 @@ def pdp(pool, normalizer) -> PairDataset:
     if any(ind.F is None for ind in pool):
         raise ContractViolationError("pool member has no upper objective value")
     F = np.array([ind.F for ind in pool], dtype=float)
-    X = np.array([normalizer(ind.x_u) for ind in pool])
+    # Training sums the gradients over the rows of X, so their order is part
+    # of the result: X keeps np.unique's sorted row order, the order every
+    # recorded run was trained with.
+    X, row = np.unique(np.array([normalizer(ind.x_u) for ind in pool]), axis=0,
+                       return_inverse=True)
+    row = row.reshape(-1)
     # pair {i, j} (i < j, row-major) gives [x_i, x_j] and then [x_j, x_i]
     i, j = np.triu_indices(N, 1)
     l = np.sign(F[j] - F[i])
     labels = np.stack([(l + 1.0) / 2.0, (-l + 1.0) / 2.0], axis=1).ravel()
-    return PairDataset(X[np.stack([i, j], axis=1).ravel()], X[np.stack([j, i], axis=1).ravel()],
-                       labels)
+    return PairDataset(X, row[np.stack([i, j], axis=1).ravel()],
+                       row[np.stack([j, i], axis=1).ravel()], labels)
 
 
-def _distinct_rows(dataset: PairDataset):
-    """The distinct input rows of a pair batch and, per pair, the row indices
-    of its two members."""
-    B = len(dataset)
-    X, inverse = np.unique(np.concatenate([dataset.xa, dataset.xb]), axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    return X, inverse[:B], inverse[B:]
-
-
-def _loss_and_grads(params, X, ia, ib, labels):
+def _loss_and_grads(params, dataset: PairDataset):
+    X, ia, ib, labels = dataset.X, dataset.ia, dataset.ib, dataset.labels
     S, cache = _forward_cached(params, X)
     d = S.take(ia) - S.take(ib)
     # softplus(+-d) = log1p(e) + max(+-d, 0) and sigmoid(d) share
@@ -294,11 +292,11 @@ def _loss_and_grads(params, X, ia, ib, labels):
 def pair_loss_and_grads(params, dataset: PairDataset):
     """Mean BCE over the pair batch and its analytic parameter gradients.
 
-    A pool of N points gives N(N-1) pairs, so the subnet runs once per
-    distinct point; pair terms gather those scores and scatter their
-    gradients back.  The gradients come as a dict keyed by weight name.
+    The subnet runs once per distinct point of the pool; pair terms gather
+    those scores and scatter their gradients back.  The gradients come as a
+    dict keyed by weight name.
     """
-    loss, grads = _loss_and_grads(params, *_distinct_rows(dataset), dataset.labels)
+    loss, grads = _loss_and_grads(params, dataset)
     return loss, {k: grads[sl].reshape(shape) for k, sl, shape in _slices(params)}
 
 
@@ -313,7 +311,6 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
     """
     if len(dataset) == 0:
         raise ContractViolationError("cannot train on an empty dataset")
-    rows = _distinct_rows(dataset)
     out = params.copy()
     theta = _flatten(out)  # Adam updates every weight array at once
     adam_m = np.zeros_like(theta)
@@ -321,7 +318,7 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
     best_loss = math.inf
     since_improvement = 0
     for t in range(1, epochs + 1):
-        loss, grads = _loss_and_grads(out, *rows, dataset.labels)
+        loss, grads = _loss_and_grads(out, dataset)
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite training loss {loss!r}")
         out.loss_curve.append(loss)
@@ -337,7 +334,7 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
         m_hat = adam_m / (1 - ADAM_BETA1**t)
         v_hat = adam_v / (1 - ADAM_BETA2**t)
         theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    final_loss, _ = _loss_and_grads(out, *rows, dataset.labels)
+    final_loss, _ = _loss_and_grads(out, dataset)
     if not math.isfinite(final_loss):
         raise TrainingDivergenceError(f"non-finite training loss {final_loss!r}")
     out.loss_curve.append(final_loss)
@@ -348,11 +345,9 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
 def pool_trigger_size(params: RankNetParams) -> int:
     """Smallest pool size N with N(N-1) pairs covering 10x the parameter count."""
     target = 10 * params.param_count
-    n = max(2, math.ceil((1.0 + math.sqrt(1.0 + 4.0 * target)) / 2.0))
+    n = 2
     while n * (n - 1) < target:
         n += 1
-    while n > 2 and (n - 1) * (n - 2) >= target:
-        n -= 1
     return n
 
 
@@ -361,8 +356,8 @@ def model_accuracy(params, dataset: PairDataset):
     mask = dataset.labels != 0.5
     if not np.any(mask):
         return None
-    d = subnet_batch(params, dataset.xa[mask]) - subnet_batch(params, dataset.xb[mask])
-    y = _sigmoid(d)
+    S = subnet_batch(params, dataset.X)
+    y = _sigmoid(S.take(dataset.ia[mask]) - S.take(dataset.ib[mask]))
     labels = dataset.labels[mask]
     correct = ((y > 0.5) & (labels == 1.0)) | ((y < 0.5) & (labels == 0.0))
     return float(np.mean(correct))

@@ -153,6 +153,22 @@ def test_compare_rejects_mismatched_problems(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_problem_name_case_is_one_problem(tmp_path, capsys):
+    # "TQ" names the registry's "tq": compare accepts the pair, and every file
+    # of the run carries the registry name
+    base = write_config(tmp_path, "base.json", base_config("nested", problem="TQ", runs=2))
+    variant = write_config(tmp_path, "variant.json", base_config("cr", runs=2))
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", "--config", base, "--variant-config", variant,
+                 "--out", str(out_dir)]) == 0
+    assert json.loads(capsys.readouterr().out)["problem"] == "tq"
+    runs = [f"tq_{mode}_{part}" for mode in ("cr", "nested")
+            for part in ("seed0.json", "seed0_trace.csv", "seed1.json", "seed1_trace.csv",
+                         "summary.json")]
+    assert sorted(os.listdir(out_dir)) == sorted(
+        ["compare_tq_nested_vs_cr.csv", "compare_tq_nested_vs_cr.json"] + runs)
+
+
 def test_suite_runs_pairs_and_reports_errors(tmp_path, capsys):
     pair_dir = tmp_path / "pairs"
     pair_dir.mkdir()

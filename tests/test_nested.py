@@ -38,8 +38,7 @@ def small_config(**kwargs):
 
 def make_ind(F, violation=0.0):
     return UpperIndividual(x_u=np.zeros(2), x_l_star=np.zeros(2), F=F,
-                           f_star=0.0, violation=violation,
-                           feasible=violation == 0.0)
+                           f_star=0.0, violation=violation)
 
 
 class TestTerminationRule:

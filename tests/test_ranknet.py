@@ -72,15 +72,51 @@ def test_normalizer_fit_maps_bounding_box_to_unit_cube():
     assert np.allclose(norm([1.25, 4.0]), [0.5, 1.0])  # a flat axis keeps unit width
 
 
+def pair_loop_loss(params, pool):
+    """Mean BCE over every ordered pair of ``pool``, each pair scored on its
+    own."""
+    terms = []
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            if i != j:
+                label = (np.sign(b.F - a.F) + 1.0) / 2.0
+                p = pair_forward(params, IDENTITY(a.x_u), IDENTITY(b.x_u))
+                terms.append(-(label * np.log(p) + (1.0 - label) * np.log(1.0 - p)))
+    return np.mean(terms)
+
+
 def test_pair_loss_matches_per_pair_evaluation():
     # The loss runs the subnet once per distinct pool point; it must equal the
     # mean BCE over every pair scored on its own.
     params = fresh_params()
-    ds = pdp(make_pool(np.random.default_rng(1).normal(size=7)), IDENTITY)
-    loss, _ = pair_loss_and_grads(params, ds)
-    p = 1.0 / (1.0 + np.exp(-(subnet_batch(params, ds.xa) - subnet_batch(params, ds.xb))))
-    reference = -np.mean(ds.labels * np.log(p) + (1 - ds.labels) * np.log(1 - p))
-    assert loss == pytest.approx(reference, rel=1e-12)
+    pool = make_pool(np.random.default_rng(1).normal(size=7))
+    loss, _ = pair_loss_and_grads(params, pdp(pool, IDENTITY))
+    assert loss == pytest.approx(pair_loop_loss(params, pool), rel=1e-12)
+
+
+def test_duplicate_points_share_one_row():
+    rng = np.random.default_rng(12)
+    pool = make_pool(rng.integers(0, 3, 9), rng=rng)  # ties included
+    for k, src in ((4, 0), (7, 0), (8, 2)):
+        pool[k].x_u = pool[src].x_u.copy()
+    N = len(pool)
+    ds = pdp(pool, IDENTITY)
+    rows = IDENTITY(np.array([ind.x_u for ind in pool]))
+    assert len(ds.X) == N - 3 and len(ds) == N * (N - 1)
+    # np.unique's row order: the order in which training sums the gradients
+    assert np.array_equal(ds.X, np.unique(rows, axis=0))
+
+    params = fresh_params(seed=13)
+    loss, grads = pair_loss_and_grads(params, ds)
+    assert loss == pytest.approx(pair_loop_loss(params, pool), rel=1e-12)
+    # the same pairs over one row per pool member, duplicates kept apart
+    i, j = np.nonzero(~np.eye(N, dtype=bool))
+    F = np.array([ind.F for ind in pool])
+    copies = PairDataset(rows, i, j, (np.sign(F[j] - F[i]) + 1.0) / 2.0)
+    copy_loss, copy_grads = pair_loss_and_grads(params, copies)
+    assert copy_loss == pytest.approx(loss, rel=1e-12)
+    for k in _PARAM_NAMES:
+        assert np.allclose(grads[k], copy_grads[k], rtol=1e-10, atol=1e-15)
 
 
 class TestPdp:
@@ -93,7 +129,7 @@ class TestPdp:
         ds = pdp(make_pool([1.0, 3.0]), IDENTITY)
         # first ordered pair: F_j - F_i = 2 > 0 -> label 1; reverse -> 0
         assert ds.labels.tolist() == [1.0, 0.0]
-        assert np.allclose(ds.xa[0], ds.xb[1]) and np.allclose(ds.xb[0], ds.xa[1])
+        assert ds.ia[0] == ds.ib[1] and ds.ib[0] == ds.ia[1]
 
     def test_tie_label(self):
         ds = pdp(make_pool([2.0, 2.0]), IDENTITY)
@@ -115,8 +151,8 @@ class TestPdp:
                 xb += [pool[j].x_u, pool[i].x_u]
                 labels += [(l + 1.0) / 2.0, (-l + 1.0) / 2.0]
         ds = pdp(pool, IDENTITY)
-        assert np.array_equal(ds.xa, IDENTITY(np.array(xa)))
-        assert np.array_equal(ds.xb, IDENTITY(np.array(xb)))
+        assert np.array_equal(ds.X[ds.ia], IDENTITY(np.array(xa)))
+        assert np.array_equal(ds.X[ds.ib], IDENTITY(np.array(xb)))
         assert np.array_equal(ds.labels, np.array(labels))
 
     def test_unevaluated_member(self):
@@ -186,10 +222,10 @@ def gradient_relative_error(seed, m=2, n=2, q=3, batch=6):
     for name in _PARAM_NAMES:
         arr = getattr(params, name)
         arr += rng.normal(0.0, 0.1, arr.shape)
-    xa = rng.uniform(0, 1, (batch, m))
-    xb = rng.uniform(0, 1, (batch, m))
+    X = rng.uniform(0, 1, (batch, m))
+    ia, ib = rng.integers(0, batch, (2, batch))
     labels = rng.choice([0.0, 0.5, 1.0], size=batch)
-    ds = PairDataset(xa, xb, labels)
+    ds = PairDataset(X, ia, ib, labels)
     _, analytic = pair_loss_and_grads(params, ds)
     numeric = numeric_gradients(params, ds)
     # compare whole gradient vectors: per-block normalization misreads
@@ -212,7 +248,7 @@ def test_training_separable_data():
             for x in rng.uniform(0, 1, (12, 2))]
     ds = pdp(pool, IDENTITY)
     params = RankNetParams.init(2, 3, 8, rng)
-    scale_init_to_batch(params, ds.xa, rng)
+    scale_init_to_batch(params, ds.X[ds.ia], rng)
     trained = train(params, ds, epochs=200, lr=0.1)
     assert trained.loss_curve[-1] < trained.loss_curve[0]
     assert model_accuracy(trained, ds) >= 0.95
@@ -225,7 +261,7 @@ def test_train_equals_adam_on_each_weight_array():
     rng = np.random.default_rng(4)
     ds = pdp(make_pool(rng.normal(size=9), rng=rng), IDENTITY)
     params = RankNetParams.init(2, 3, 6, rng)
-    scale_init_to_batch(params, ds.xa, rng)
+    scale_init_to_batch(params, ds.X[ds.ia], rng)
     epochs, lr = 30, 0.1
     ref = params.copy()
     m = {k: np.zeros_like(getattr(ref, k)) for k in _PARAM_NAMES}
@@ -250,11 +286,13 @@ def test_train_equals_adam_on_each_weight_array():
 
 def test_training_empty_dataset():
     with pytest.raises(ContractViolationError):
-        train(fresh_params(), PairDataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)))
+        empty = np.zeros(0, dtype=int)
+        train(fresh_params(), PairDataset(np.zeros((0, 2)), empty, empty, np.zeros(0)))
 
 
 def test_training_divergence_raises():
-    ds = PairDataset(np.full((2, 2), np.inf), np.zeros((2, 2)), np.array([1.0, 0.0]))
+    ds = PairDataset(np.array([[np.inf, np.inf], [0.0, 0.0]]), np.array([0, 1]), np.array([1, 0]),
+                     np.array([1.0, 0.0]))
     with pytest.raises(TrainingDivergenceError):
         train(fresh_params(), ds, epochs=5)
 
@@ -294,13 +332,32 @@ class TestModelAccuracy:
                 for x in rng.uniform(0, 1, (8, 2))]
         ds = pdp(pool, IDENTITY)
         params = RankNetParams.init(2, 3, 8, rng)
-        scale_init_to_batch(params, ds.xa, rng)
+        scale_init_to_batch(params, ds.X[ds.ia], rng)
         trained = train(params, ds, epochs=300, lr=0.1)
         acc = model_accuracy(trained, ds)
         assert acc >= 0.95
         # swapping branch inputs inverts every verdict
-        flipped = PairDataset(ds.xb, ds.xa, ds.labels)
+        flipped = PairDataset(ds.X, ds.ib, ds.ia, ds.labels)
         assert model_accuracy(trained, flipped) == pytest.approx(1.0 - acc)
+
+    def test_matches_the_pairwise_loop(self):
+        rng = np.random.default_rng(14)
+        pool = [UpperIndividual(x_u=x, x_l_star=np.zeros(2), F=float(round(4 * x[0])), f_star=0.0)
+                for x in rng.uniform(0, 1, (10, 2))]  # F ties included
+        pool[9].x_u = pool[0].x_u.copy()  # one point with two values: its pairs tie
+        pool[9].F = pool[0].F + 1.0
+        ds = pdp(pool, IDENTITY)
+        params = RankNetParams.init(2, 3, 8, rng)
+        scale_init_to_batch(params, ds.X[ds.ia], rng)
+        trained = train(params, ds, epochs=100, lr=0.1)
+        correct = total = 0
+        for a in pool:
+            for b in pool:
+                if a is not b and a.F != b.F:
+                    p = pair_forward(trained, a.x_u, b.x_u)
+                    correct += bool(p > 0.5) if a.F < b.F else bool(p < 0.5)
+                    total += 1
+        assert model_accuracy(trained, ds) == correct / total
 
     def test_all_ties_returns_none(self):
         ds = pdp(make_pool([1.0, 1.0, 1.0]), IDENTITY)
