@@ -76,12 +76,12 @@ def maybe_retrain(pool: SolutionPool, params: RankNetParams, net_cfg, rng):
     """
     if not pool.full:
         return params, None
-    acc = (model_accuracy(params, pdp(pool.entries, params.normalizer))
-           if params.generation_id > 0 else None)
     base = RankNetParams.init(params.m, params.n, params.q, rng,
                               psi_relu=params.psi_relu, generation_id=params.generation_id,
                               normalizer=Normalizer.fit([ind.x_u for ind in pool.entries]))
     dataset = pdp(pool.entries, base.normalizer)
+    acc = (model_accuracy(params, dataset.under(pool.entries, params.normalizer))
+           if params.generation_id > 0 else None)
     # each pool point repeated N-1 times, the batch the recorded runs scaled on
     scale_init_to_batch(base, dataset.X[dataset.ia], rng)
     try:

@@ -64,8 +64,11 @@ class _BudgetExhausted(Exception):
     """Internal control flow: the per-task lower-level FE cap was reached."""
 
 
-def _violation(g):
-    return float(np.maximum(g, 0.0).sum()) if g.size else 0.0
+def _violation(cons):
+    """Summed positive excess of an infeasible point's constraints.  Callers
+    take 0.0 for a point the evaluation reports feasible, which is what the
+    sum would give."""
+    return float(np.add.reduce(np.maximum(cons, 0.0)))
 
 
 def lower_level_search(p: ProblemSpec, x_u, cfg: LowerConfig, rule: TerminationRule,
@@ -88,9 +91,9 @@ def lower_level_search(p: ProblemSpec, x_u, cfg: LowerConfig, rule: TerminationR
     def objective(x_l):
         if len(hist) >= budget:
             raise _BudgetExhausted
-        f, g, _feas = evaluate_lower(p, x_u, x_l, ledger)
+        f, g, feasible = evaluate_lower(p, x_u, x_l, ledger)
         hist.append(f)
-        return f, _violation(g)
+        return f, 0.0 if feasible else _violation(g)
 
     # The stagnation window watches the raw evaluated objective values: it
     # fires only when every candidate sampled in the last window lands within
@@ -159,8 +162,8 @@ def _solve(p: ProblemSpec, ind, cfg, ledger, rng, archive):
     start = archive.nearest(ind.x_u, cfg.lower.pop_size)
     ind.x_l_star, ind.f_star = lower_level_search(p, ind.x_u, cfg.lower, cfg.termination, ledger,
                                                   rng=rng, start=start)
-    ind.F, G, _ = evaluate_upper(p, ind.x_u, ind.x_l_star, ledger)
-    ind.violation = _violation(G)
+    ind.F, G, feasible = evaluate_upper(p, ind.x_u, ind.x_l_star, ledger)
+    ind.violation = 0.0 if feasible else _violation(G)
     return ind
 
 

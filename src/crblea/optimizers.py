@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # the ufunc behind ndarray.clip
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ConfigurationError
+
+_sum = np.add.reduce
 
 # Least initial CMA-ES step per axis of a warm start, in box widths.  A wider
 # floor makes a nearly resolved start search too wide a region: at 1e-3 and
@@ -86,6 +89,7 @@ class _Strategy:
 
     mu: int
     weights: np.ndarray  # read-only: one array serves every search of this shape
+    weights_col: np.ndarray  # weights[:, None]
     cc: float
     cs: float
     c1: float
@@ -112,7 +116,7 @@ def _strategy(lam, d):
     cmu = min(1 - c1, 2 * (mueff - 2 + 1 / mueff) / ((d + 2) ** 2 + mueff))
     chi_n = math.sqrt(d) * (1 - 1 / (4 * d) + 1 / (21 * d * d))
     return _Strategy(
-        mu=mu, weights=w, cc=cc, cs=cs, c1=c1, cmu=cmu,
+        mu=mu, weights=w, weights_col=w[:, None], cc=cc, cs=cs, c1=c1, cmu=cmu,
         damps=1 + 2 * max(0.0, math.sqrt((mueff - 1) / (d + 1)) - 1) + cs,
         chi_n=chi_n,
         ps_gain=math.sqrt(cs * (2 - cs) * mueff),
@@ -143,16 +147,21 @@ class CmaState:
         self.population = self._initial_points(start)
         self._evaluate(self.population, objective)
 
+        # the means and the standard deviation below are the sums that
+        # np.mean and np.std compute, without their per-call wrappers
         widths = self.high - self.low
         if start is None:
-            mean_width = float(np.mean(widths))
+            mean_width = float(_sum(widths) / d)
             self.sigma = config.cma_sigma0 * mean_width
             scale = widths / mean_width
         else:
             # A warm start sizes each axis by how far its starting points
             # disagree, floored so that a collapsed start can still move.
-            spread = np.maximum(self.population.std(axis=0), WARM_SPREAD_FLOOR * widths)
-            self.sigma = float(np.mean(spread))
+            P = self.population
+            dev = P - _sum(P, axis=0) / len(P)
+            std = np.sqrt(_sum(dev**2, axis=0) / len(P))
+            spread = np.maximum(std, WARM_SPREAD_FLOOR * widths)
+            self.sigma = float(_sum(spread) / d)
             scale = spread / self.sigma
         self.C = np.diag(scale**2)
         self.pc = np.zeros(d)
@@ -170,7 +179,7 @@ class CmaState:
         n = self.config.pop_size
         if start is None:
             return self.rng.uniform(self.low, self.high, size=(n, self.dim))
-        start = np.asarray(start, dtype=float)[:n].clip(self.low, self.high)
+        start = _clip(np.asarray(start, dtype=float)[:n], self.low, self.high)
         fill = self.rng.uniform(self.low, self.high, size=(n - len(start), self.dim))
         return np.concatenate([start, fill])
 
@@ -216,8 +225,7 @@ class CmaState:
         lam = self.config.pop_size
 
         Z = self.rng.standard_normal((lam, self.dim))
-        Y = Z @ self.BD.T
-        X = (self.mean + self.sigma * Y).clip(self.low, self.high)
+        X = _clip(self.mean + self.sigma * (Z @ self.BD.T), self.low, self.high)
         keys = self._evaluate(X, objective)
         self.population = X
 
@@ -233,13 +241,14 @@ class CmaState:
         self.pc = (1 - s.cc) * self.pc + hsig * s.pc_gain * y_w
 
         ys = (sel - old_mean) / self.sigma
-        rank_mu = (s.weights[:, None] * ys).T @ ys
-        delta_hsig = (1 - hsig) * s.cc * (2 - s.cc)
-        self.C = (
-            s.C_decay * self.C
-            + s.c1 * (self.pc[:, None] * self.pc + delta_hsig * self.C)
-            + s.cmu * rank_mu
-        )
+        rank_one = self.pc[:, None] * self.pc
+        # The textbook C update adds delta_hsig C = (1 - hsig) cc (2 - cc) C
+        # to rank_one; with hsig that is 0.0 * C.  Adding it could only turn
+        # a -0.0 entry into +0.0 where C >= +0.0, and there C_decay C >= +0.0
+        # makes the sum below the same either way.
+        if not hsig:
+            rank_one = rank_one + s.cc * (2 - s.cc) * self.C
+        self.C = s.C_decay * self.C + s.c1 * rank_one + s.cmu * ((s.weights_col * ys).T @ ys)
         self.sigma *= math.exp((s.cs / s.damps) * (ps_norm / s.chi_n - 1))
         self._decompose()
         self.generation = gen

@@ -25,6 +25,9 @@ from .errors import ConfigurationError, ContractViolationError, EvaluationError
 from .ledger import EvalLedger
 
 Array = np.ndarray
+# ndarray.sum() reaches this ufunc method through numpy's Python-level
+# wrapper; the closures below call it directly
+_sum = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,12 @@ def _checked(p: ProblemSpec, level, value, cons, x_u, x_l):
     non-finite results."""
     value = float(value)
     cons = np.asarray(cons, dtype=float)
-    if not (math.isfinite(value) and (cons.size == 0 or np.isfinite(cons).all())):
+    # A handful of constraints is checked faster as Python floats than by
+    # numpy reductions.  max() is exact once every entry is known finite.
+    c = cons.ravel().tolist() if cons.size else ()
+    if not (math.isfinite(value) and all(map(math.isfinite, c))):
         raise EvaluationError(f"{p.name}: non-finite {level} evaluation", x_u=x_u, x_l=x_l)
-    return value, cons, bool(cons.size == 0 or cons.max() <= 0.0)
+    return value, cons, not c or max(c) <= 0.0
 
 
 def evaluate_upper(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
@@ -121,10 +127,10 @@ def make_toy(variant: str, m: int, a, c) -> ProblemSpec:
     F_r = float(np.sum((x_u_star - a) ** 2) + np.sum(x_l_star**2))
 
     def upper(x_u, x_l):
-        return ((x_u - a) ** 2).sum() + (x_l**2).sum(), np.empty(0)
+        return _sum((x_u - a) ** 2) + _sum(x_l**2), np.empty(0)
 
     def lower(x_u, x_l):
-        return ((x_l - x_u - c) ** 2).sum(), np.empty(0)
+        return _sum((x_l - x_u - c) ** 2), np.empty(0)
 
     half_width = max(5.0, 2.0 * float(np.max(np.abs(np.concatenate([a, c, x_u_star, x_l_star])))) + 5.0)
     bounds = np.tile([-half_width, half_width], (m, 1))
@@ -148,49 +154,50 @@ def _ident(v):
 
 
 def _sq(v):
-    return (v**2).sum()
+    return _sum(v**2)
 
 
 def _neg_sq(v):
-    return -(v**2).sum()
+    return -_sum(v**2)
 
 
 def _sq_from_2(v):
-    return ((v - 2) ** 2).sum()
+    return _sum((v - 2) ** 2)
 
 
 def _rastrigin(v):
-    return len(v) + (v**2 - np.cos(2 * np.pi * v)).sum()
+    return len(v) + _sum(v**2 - np.cos(2 * np.pi * v))
 
 
 def _rosenbrock(v):
-    return (100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (v[:-1] - 1.0) ** 2).sum()
+    return _sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (v[:-1] - 1.0) ** 2)
 
 
 def _griewank(v):
-    return 1.0 + (v**2).sum() / 4000.0 - np.cos(v / np.sqrt(np.arange(1, len(v) + 1))).prod()
+    cosines = np.cos(v / np.sqrt(np.arange(1, len(v) + 1)))
+    return 1.0 + _sum(v**2) / 4000.0 - np.multiply.reduce(cosines)
 
 
 def _ackley(v):
     p = len(v)
-    return (20.0 + np.e - 20.0 * np.exp(-0.2 * np.sqrt((v**2).sum() / p))
-            - np.exp(np.cos(2 * np.pi * v).sum() / p))
+    return (20.0 + np.e - 20.0 * np.exp(-0.2 * np.sqrt(_sum(v**2) / p))
+            - np.exp(_sum(np.cos(2 * np.pi * v)) / p))
 
 
 def _smd6_F2(v):
-    return -(v[:-_SMD6_S] ** 2).sum() + (v[-_SMD6_S:] ** 2).sum()
+    return -_sum(v[:-_SMD6_S] ** 2) + _sum(v[-_SMD6_S:] ** 2)
 
 
 def _smd6_f2(v):
     # the s block enters only through differences of its pairs, so the lower
     # level has infinitely many optima
     q = len(v) - _SMD6_S
-    return (v[:q] ** 2).sum() + sum((v[i + 1] - v[i]) ** 2 for i in range(q, len(v) - 1, 2))
+    return _sum(v[:q] ** 2) + sum((v[i + 1] - v[i]) ** 2 for i in range(q, len(v) - 1, 2))
 
 
 def _round_off(v):
     """Distance of the sum of squares from its nearest integer (SMD9)."""
-    term = (v**2).sum()
+    term = _sum(v**2)
     return np.array([term - np.floor(term + 0.5)])
 
 
@@ -210,7 +217,15 @@ def _cubic(v, tail=0.0):
 
 
 def _cubic_upper(xu1, xu2):
-    return np.concatenate((_cubic(xu1, (xu2**3).sum()), _cubic(xu2, (xu1**3).sum())))
+    return np.concatenate((_cubic(xu1, _sum(xu2**3)), _cubic(xu2, _sum(xu1**3))))
+
+
+def _smd12_g(xl1, t3):
+    """t3 - 1 followed by the cubic constraints of x_l1 (SMD12's g)."""
+    g = np.empty(len(xl1) + 1)
+    g[0] = t3 - 1.0
+    g[1:] = _cubic(xl1)
+    return g
 
 
 @dataclass(frozen=True)
@@ -275,8 +290,8 @@ _SMD = (
     _SmdRow(_sq_from_2, _sq, _sq_from_2, _sq_from_2, _ident, np.tan, True,
             (-14.1, 14.1), (-1.5, 1.5), optimum=(2, 1.5, 2, np.arctan(1.5)),
             G=lambda xu1, xu2, xl2: np.concatenate((xu2 - np.tan(xl2), _cubic_upper(xu1, xu2))),
-            g=lambda xl1, xl2, t3: np.concatenate(((t3 - 1.0,), _cubic(xl1))),
-            L=lambda xl2: np.tan(np.abs(xl2)).sum(),
+            g=lambda xl1, xl2, t3: _smd12_g(xl1, t3),
+            L=lambda xl2: _sum(np.tan(np.abs(xl2))),
             F_r=lambda q, r: q * 4.0 + r * (0.25 + 1.5)),
 )
 
@@ -306,7 +321,7 @@ def make_smd(index: int, m: int, n: int) -> ProblemSpec:
 
     def upper(x_u, x_l):
         xu1, xu2, xl2 = x_u[:p], x_u[p:], x_l[k:]
-        t3 = ((a(xu2) - b(xl2)) ** 2).sum()
+        t3 = _sum((a(xu2) - b(xl2)) ** 2)
         F = F1(xu1) + F2(x_l[:k]) + U(xu2)
         if L is not None:
             F += L(xl2)
@@ -314,7 +329,7 @@ def make_smd(index: int, m: int, n: int) -> ProblemSpec:
 
     def lower(x_u, x_l):
         xl1, xl2 = x_l[:k], x_l[k:]
-        t3 = ((a(x_u[p:]) - b(xl2)) ** 2).sum()
+        t3 = _sum((a(x_u[p:]) - b(xl2)) ** 2)
         return f2(xl1) + t3, (no_con if g is None else g(xl1, xl2, t3))
 
     u1, u2, l1, l2 = row.optimum

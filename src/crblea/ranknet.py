@@ -12,6 +12,7 @@ reference for the second branch, which induces a total preorder (no
 pairwise-comparison cycles are possible).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -167,6 +168,15 @@ class PairDataset:
     def __len__(self):
         return len(self.labels)
 
+    def under(self, pool, normalizer):
+        """The same pairs and labels over the points of ``pool``, the pool
+        this dataset was built from, mapped by ``normalizer``.
+
+        Each map needs its own distinct rows: two points can fall onto one
+        row under one map and onto two under another.
+        """
+        return _paired(pool, normalizer, self.labels)
+
 
 def _forward_cached(params, X):
     A0 = X @ params.W_psi.T + params.b_psi
@@ -188,11 +198,12 @@ def _backward(params, cache, dS):
     dA1 = (dA2 @ params.W2) * (A1 > 0)
     dH0 = dA1 @ params.W1[:, params.m:]
     dA0 = dH0 * (A0 > 0) if params.psi_relu else dH0
+    colsum = np.add.reduce  # ndarray.sum without its wrapper
     return np.concatenate([
-        (dA0.T @ X).ravel(), dA0.sum(axis=0),
-        (dA1.T @ Z).ravel(), dA1.sum(axis=0),
-        (dA2.T @ H1).ravel(), dA2.sum(axis=0),
-        H2.T @ dS, [dS.sum()],
+        (dA0.T @ X).ravel(), colsum(dA0, axis=0),
+        (dA1.T @ Z).ravel(), colsum(dA1, axis=0),
+        (dA2.T @ H1).ravel(), colsum(dA2, axis=0),
+        H2.T @ dS, colsum(dS, keepdims=True),
     ])
 
 
@@ -225,10 +236,9 @@ def subnet_batch(params, X):
     return _forward_cached(params, X)[0]
 
 
-def _sigmoid(t, e=None):
-    """Logistic function of ``t``; ``e`` is exp(-|t|) if the caller has it."""
-    if e is None:
-        e = np.exp(-np.abs(t))  # in (0, 1]: cannot overflow for either sign of t
+def _sigmoid(t):
+    """Logistic function of ``t``."""
+    e = np.exp(-np.abs(t))  # in (0, 1]: cannot overflow for either sign of t
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -247,12 +257,38 @@ def ranking_scores(params, X):
     return _sigmoid(subnet_batch(params, X))
 
 
+@functools.cache
+def _pair_members(N):
+    """Pool indices of the first and of the second member of every ordered
+    pair of N points: pair {i, j} (i < j, row-major) gives [x_i, x_j] and
+    then [x_j, x_i]."""
+    i, j = np.triu_indices(N, 1)
+    first, second = np.stack([i, j], axis=1).ravel(), np.stack([j, i], axis=1).ravel()
+    first.setflags(write=False)  # one cached pair serves every caller
+    second.setflags(write=False)
+    return first, second
+
+
+def _paired(pool, normalizer, labels):
+    """The ``PairDataset`` of every ordered pair of ``pool`` under
+    ``normalizer``, with the given labels."""
+    # Training sums the gradients over the rows of X, so their order is part
+    # of the result: X keeps np.unique's sorted row order, the order every
+    # recorded run was trained with.
+    X, row = np.unique(np.array([normalizer(ind.x_u) for ind in pool]), axis=0,
+                       return_inverse=True)
+    row = row.reshape(-1)
+    first, second = _pair_members(len(pool))
+    return PairDataset(X, row[first], row[second], labels)
+
+
 def pdp(pool, normalizer) -> PairDataset:
     """Paired data preparation: all ordered pairs of an evaluated pool.
 
     For each unordered pair {i, j}, the label of [x_i, x_j] is
     (sgn(F_j - F_i) + 1) / 2 and the reversed pair gets the complement, so a
-    pool of N solutions yields exactly N(N-1) samples.
+    pool of N solutions yields exactly N(N-1) samples.  ``under`` gives the
+    same pairs under another map.
     """
     N = len(pool)
     if N < 2:
@@ -260,33 +296,50 @@ def pdp(pool, normalizer) -> PairDataset:
     if any(ind.F is None for ind in pool):
         raise ContractViolationError("pool member has no upper objective value")
     F = np.array([ind.F for ind in pool], dtype=float)
-    # Training sums the gradients over the rows of X, so their order is part
-    # of the result: X keeps np.unique's sorted row order, the order every
-    # recorded run was trained with.
-    X, row = np.unique(np.array([normalizer(ind.x_u) for ind in pool]), axis=0,
-                       return_inverse=True)
-    row = row.reshape(-1)
-    # pair {i, j} (i < j, row-major) gives [x_i, x_j] and then [x_j, x_i]
-    i, j = np.triu_indices(N, 1)
-    l = np.sign(F[j] - F[i])
-    labels = np.stack([(l + 1.0) / 2.0, (-l + 1.0) / 2.0], axis=1).ravel()
-    return PairDataset(X, row[np.stack([i, j], axis=1).ravel()],
-                       row[np.stack([j, i], axis=1).ravel()], labels)
+    first, second = _pair_members(N)
+    # sgn(F_i - F_j) = -sgn(F_j - F_i), so each reversed pair gets the
+    # complement
+    labels = (np.sign(F[second] - F[first]) + 1.0) / 2.0
+    return _paired(pool, normalizer, labels)
 
 
-def _loss_and_grads(params, dataset: PairDataset):
+def _pair_loss(dataset: PairDataset):
+    """``loss_and_grads(params)`` over ``dataset``: the mean BCE and its flat
+    gradient.  Its per-pair arrays are allocated once and reused by every
+    call, so one training allocates them once, not once per epoch."""
     X, ia, ib, labels = dataset.X, dataset.ia, dataset.ib, dataset.labels
-    S, cache = _forward_cached(params, X)
-    d = S.take(ia) - S.take(ib)
-    # softplus(+-d) = log1p(e) + max(+-d, 0) and sigmoid(d) share
-    # e = exp(-|d|); add.reduce / B is np.mean without its wrapper
-    e = np.exp(-np.abs(d))
-    log_term = np.log1p(e)
-    loss = float(np.add.reduce(labels * (log_term + np.maximum(-d, 0.0))
-                               + (1.0 - labels) * (log_term + np.maximum(d, 0.0))) / len(labels))
-    dd = (_sigmoid(d, e) - labels) / len(labels)
-    dS = np.bincount(ia, dd, len(X)) - np.bincount(ib, dd, len(X))
-    return loss, _backward(params, cache, dS)
+    B, P = len(labels), len(X)
+    complement = 1.0 - labels
+    buffers = (*(np.empty(B) for _ in range(5)), np.empty(B, dtype=bool))
+
+    def loss_and_grads(params):
+        d, e, log_term, a, b, up = buffers
+        S, cache = _forward_cached(params, X)
+        np.subtract(S.take(ia), S.take(ib), out=d)
+        # softplus(+-d) = log1p(e) + max(+-d, 0) and sigmoid(d) share
+        # e = exp(-|d|).  Each line below is one elementwise step of
+        # labels * (log_term + max(-d, 0)) + (1 - labels) * (log_term + max(d, 0)),
+        # summed by add.reduce / B (np.mean without its wrapper).
+        np.exp(np.negative(np.abs(d, out=e), out=e), out=e)
+        np.log1p(e, out=log_term)
+        np.maximum(np.negative(d, out=a), 0.0, out=a)
+        a += log_term
+        a *= labels
+        np.maximum(d, 0.0, out=b)
+        b += log_term
+        b *= complement
+        a += b
+        loss = float(np.add.reduce(a) / B)
+        # dL/dd = (sigmoid(d) - labels) / B, sigmoid(d) as _sigmoid computes it
+        np.add(e, 1.0, out=b)
+        np.copyto(e, 1.0, where=np.greater_equal(d, 0.0, out=up))
+        e /= b
+        e -= labels
+        e /= B
+        dS = np.bincount(ia, e, P) - np.bincount(ib, e, P)
+        return loss, _backward(params, cache, dS)
+
+    return loss_and_grads
 
 
 def pair_loss_and_grads(params, dataset: PairDataset):
@@ -296,7 +349,7 @@ def pair_loss_and_grads(params, dataset: PairDataset):
     those scores and scatter their gradients back.  The gradients come as a
     dict keyed by weight name.
     """
-    loss, grads = _loss_and_grads(params, dataset)
+    loss, grads = _pair_loss(dataset)(params)
     return loss, {k: grads[sl].reshape(shape) for k, sl, shape in _slices(params)}
 
 
@@ -315,10 +368,13 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
     theta = _flatten(out)  # Adam updates every weight array at once
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
+    step = np.empty_like(theta)
+    scale = np.empty_like(theta)
+    loss_and_grads = _pair_loss(dataset)
     best_loss = math.inf
     since_improvement = 0
     for t in range(1, epochs + 1):
-        loss, grads = _loss_and_grads(out, dataset)
+        loss, grads = loss_and_grads(out)
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite training loss {loss!r}")
         out.loss_curve.append(loss)
@@ -329,12 +385,23 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
             since_improvement += 1
             if since_improvement >= stop_patience:
                 break
-        adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grads
-        adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grads**2
-        m_hat = adam_m / (1 - ADAM_BETA1**t)
-        v_hat = adam_v / (1 - ADAM_BETA2**t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    final_loss, _ = _loss_and_grads(out, dataset)
+        # in place, one elementwise step at a time:
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+        # theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+        adam_m *= ADAM_BETA1
+        adam_m += (1 - ADAM_BETA1) * grads
+        adam_v *= ADAM_BETA2
+        grads *= grads
+        grads *= 1 - ADAM_BETA2
+        adam_v += grads
+        np.divide(adam_m, 1 - ADAM_BETA1**t, out=step)
+        step *= lr
+        np.divide(adam_v, 1 - ADAM_BETA2**t, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += ADAM_EPS
+        step /= scale
+        theta -= step
+    final_loss, _ = loss_and_grads(out)
     if not math.isfinite(final_loss):
         raise TrainingDivergenceError(f"non-finite training loss {final_loss!r}")
     out.loss_curve.append(final_loss)

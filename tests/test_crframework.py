@@ -22,6 +22,7 @@ from crblea import (
     run_nested_blea,
 )
 from crblea.problems import get_problem
+from crblea.ranknet import _PARAM_NAMES, model_accuracy, pdp, scale_init_to_batch, train
 
 TOY = get_problem("tq")
 IDENTITY = Normalizer(np.tile([0.0, 1.0], (2, 1)))
@@ -93,6 +94,36 @@ class TestMaybeRetrain:
         params2, acc = maybe_retrain(pool, params, self.net_cfg, self.rng)
         assert params2.generation_id == 2
         assert acc is not None and 0.0 <= acc <= 1.0
+
+    def test_one_pairing_equals_one_pdp_per_map(self):
+        # Points 0-2 coincide, 3 and 4 differ by 1e-12 (one row under the
+        # old network's wide map, two under the pool's fitted map) and F has
+        # ties.  maybe_retrain pairs the pool once and maps it twice; its
+        # accuracy entry and new network must equal those of one pdp per map.
+        X = self.rng.uniform(0, 1, (12, 2))
+        X[1] = X[2] = X[0]
+        X[3] = [0.5, 0.5]
+        X[4] = [0.5 + 1e-12, 0.5]
+        F = np.round(4 * X[:, 0])
+        entries = [evaluated(x, f) for x, f in zip(X, F)]
+        wide = Normalizer(np.tile([-1e6, 1e6], (2, 1)))
+        old = RankNetParams.init(2, 2, 2, self.rng, generation_id=1, normalizer=wide)
+        assert len(pdp(entries, wide).X) == 9 and len(pdp(entries, Normalizer.fit(X)).X) == 10
+
+        pool = SolutionPool(capacity_trigger=12)
+        pool.extend(entries)
+        params, acc = maybe_retrain(pool, old, self.net_cfg, np.random.default_rng(5))
+
+        rng = np.random.default_rng(5)
+        ref_acc = model_accuracy(old, pdp(entries, wide))
+        base = RankNetParams.init(2, 2, 2, rng, generation_id=1, normalizer=Normalizer.fit(X))
+        ds = pdp(entries, base.normalizer)
+        scale_init_to_batch(base, ds.X[ds.ia], rng)
+        ref = train(base, ds, epochs=self.net_cfg.epochs, lr=self.net_cfg.lr)
+        assert acc is not None and acc == ref_acc
+        assert params.loss_curve == ref.loss_curve
+        for k in _PARAM_NAMES:
+            assert np.array_equal(getattr(params, k), getattr(ref, k))
 
     def test_new_generation_carries_a_map_fitted_to_its_pool(self):
         pool = SolutionPool(capacity_trigger=8)

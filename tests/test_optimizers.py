@@ -1,11 +1,13 @@
 """Search engines: convergence, accounting, feasibility handling."""
 
+import math
+
 import numpy as np
 import pytest
 
 from crblea import LowerConfig, UpperConfig, harness_config_from_dict, init_search, step
 from crblea.errors import ConfigurationError
-from crblea.optimizers import de_trial
+from crblea.optimizers import WARM_SPREAD_FLOOR, CmaState, de_trial
 
 BOUNDS3 = np.tile([-5.0, 5.0], (3, 1))
 
@@ -203,3 +205,87 @@ def test_rows_scored_before_a_raise_count_towards_the_best():
         step(state, objective)
     assert state.best_fitness == -2.0
     assert np.array_equal(state.best_x, seen[0])
+
+
+@pytest.mark.parametrize("pop, d", [(2, 1), (5, 3), (6, 3), (9, 7)])
+def test_initial_step_sizes_equal_the_numpy_statistics(pop, d):
+    # init_search takes its means and standard deviation as add.reduce sums;
+    # they must equal np.mean and np.std bit for bit, boxes of unequal width
+    # and starts clipped to the box included
+    rng = np.random.default_rng(pop * 10 + d)
+    bounds = np.stack([-rng.uniform(1, 9, d), rng.uniform(1, 9, d)], axis=1)
+    widths = bounds[:, 1] - bounds[:, 0]
+    cfg = LowerConfig(pop_size=pop)
+    cold = init_search(cfg, bounds, sphere, rng=rng)
+    assert cold.sigma == cfg.cma_sigma0 * float(np.mean(widths))
+    for rows in (1, pop - 1, pop, pop + 2):
+        start = rng.uniform(1.5 * bounds[:, 0], 1.5 * bounds[:, 1], (rows, d))
+        warm = init_search(cfg, bounds, sphere, rng=rng, start=start)
+        spread = np.maximum(warm.population.std(axis=0), WARM_SPREAD_FLOOR * widths)
+        assert warm.sigma == float(np.mean(spread))
+        scale = spread / warm.sigma
+        ref = init_search(cfg, bounds, sphere, rng=np.random.default_rng(0))
+        ref.C = np.diag(scale**2)
+        ref._decompose()
+        assert np.array_equal(warm.C, ref.C)
+
+
+class TextbookCma(CmaState):
+    """CmaState whose generation step is the update as written before the
+    per-call trims (each sum written out in full), the reference for
+    CmaState._step; counts the generations without hsig."""
+
+    stalls = 0
+
+    def _step(self, objective):
+        s = self.strategy
+        lam = self.config.pop_size
+        Z = self.rng.standard_normal((lam, self.dim))
+        Y = Z @ self.BD.T
+        X = (self.mean + self.sigma * Y).clip(self.low, self.high)
+        keys = self._evaluate(X, objective)
+        self.population = X
+        sel = X.take(sorted(range(lam), key=keys.__getitem__)[: s.mu], axis=0)
+        old_mean = self.mean
+        self.mean = s.weights @ sel
+        y_w = (self.mean - old_mean) / self.sigma
+        self.ps = (1 - s.cs) * self.ps + s.ps_gain * (self.inv_sqrt_C @ y_w)
+        ps_norm = math.sqrt(self.ps.dot(self.ps))
+        gen = self.generation + 1
+        hsig = ps_norm / math.sqrt(1 - (1 - s.cs) ** (2 * gen)) < s.hsig_limit
+        self.stalls += not hsig
+        self.pc = (1 - s.cc) * self.pc + hsig * s.pc_gain * y_w
+        ys = (sel - old_mean) / self.sigma
+        rank_mu = (s.weights[:, None] * ys).T @ ys
+        delta_hsig = (1 - hsig) * s.cc * (2 - s.cc)
+        self.C = (
+            s.C_decay * self.C
+            + s.c1 * (self.pc[:, None] * self.pc + delta_hsig * self.C)
+            + s.cmu * rank_mu
+        )
+        self.sigma *= math.exp((s.cs / s.damps) * (ps_norm / s.chi_n - 1))
+        self._decompose()
+        self.generation = gen
+
+
+def constrained(x):
+    return float(np.sum(x**2)), max(0.0, x[0] - x[1] + 1.0)
+
+
+@pytest.mark.parametrize("objective, corner", [(sphere, False), (constrained, False), (sphere, True)])
+@pytest.mark.parametrize("pop", [5, 8])
+def test_step_bitwise_equals_the_textbook_update(objective, corner, pop):
+    # Cold starts clip many early samples to the box.  A start collapsed in a
+    # corner has a tiny step that must grow on a long evolution path, so
+    # hsig fails for a while there.
+    cfg = LowerConfig(pop_size=pop)
+    start = np.full((pop, 3), 4.0) if corner else None
+    ref = TextbookCma(cfg, BOUNDS3, objective, np.random.default_rng(pop), start)
+    state = CmaState(cfg, BOUNDS3, objective, np.random.default_rng(pop), start)
+    for _ in range(60):
+        ref._step(objective)
+        step(state, objective)
+        for name in ("population", "mean", "ps", "pc", "C", "sigma", "best_x", "best_fitness"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+    if corner:
+        assert ref.stalls > 0

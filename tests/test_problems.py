@@ -117,6 +117,48 @@ def test_non_finite_evaluation_raises():
         evaluate_lower(p, [0.0], [0.0], EvalLedger())
 
 
+def constrained(cons):
+    """A problem with finite objectives whose constraints at both levels are
+    ``cons``."""
+    cons = np.asarray(cons, dtype=float)
+    return ProblemSpec(
+        name="cons", m=1, n=1,
+        upper_bounds=np.array([[-1.0, 1.0]]),
+        lower_bounds=np.array([[-1.0, 1.0]]),
+        upper=lambda xu, xl: (1.0, cons.copy()),
+        lower=lambda xu, xl: (2.0, cons.copy()),
+        optimum=(0.0, 0.0),
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", range(3))
+def test_non_finite_constraint_raises(bad, where):
+    cons = [-1.0, 0.5, -2.0]
+    cons[where] = bad
+    p = constrained(cons)
+    for evaluate in (evaluate_upper, evaluate_lower):
+        with pytest.raises(EvaluationError):
+            evaluate(p, [0.0], [0.0], EvalLedger())
+
+
+@pytest.mark.parametrize("cons, feasible", [
+    ([1e308, 1e308], False),  # the sum overflows, every entry is finite
+    ([-1e308, -1e308, -1e308], True),
+    ([-1.7e308, 1.7e308], False),
+    ([-1.0, 0.0], True),
+    ([-0.0], True),
+    ([0.0, -0.0, -3.0], True),
+    ([-1.0, 5e-324], False),  # the least positive double
+])
+def test_finite_constraints_give_the_exact_feasibility_flag(cons, feasible):
+    p = constrained(cons)
+    for evaluate in (evaluate_upper, evaluate_lower):
+        _, out, flag = evaluate(p, [0.0], [0.0], EvalLedger())
+        assert flag is feasible
+        assert out.tobytes() == np.array(cons, dtype=float).tobytes()
+
+
 def test_smd9_constraints_active_away_from_integers():
     p = get_problem("smd9")
     ledger = EvalLedger()

@@ -1,5 +1,6 @@
 """Ranking network: pairing, forward/backward, training, trigger sizing."""
 
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -155,6 +156,18 @@ class TestPdp:
         assert np.array_equal(ds.X[ds.ib], IDENTITY(np.array(xb)))
         assert np.array_equal(ds.labels, np.array(labels))
 
+    def test_under_equals_a_fresh_pdp(self):
+        rng = np.random.default_rng(15)
+        pool = make_pool(rng.integers(0, 3, 10), rng=rng)  # ties included
+        pool[6].x_u = pool[1].x_u.copy()
+        pool[7].x_u = pool[1].x_u + 1e-13  # one row under the coarse map only
+        coarse = Normalizer(np.tile([-1e5, 1e5], (2, 1)))
+        ds = pdp(pool, IDENTITY).under(pool, coarse)
+        ref = pdp(pool, coarse)
+        assert len(ref.X) == 8 and len(pdp(pool, IDENTITY).X) == 9
+        for field in ("X", "ia", "ib", "labels"):
+            assert np.array_equal(getattr(ds, field), getattr(ref, field))
+
     def test_unevaluated_member(self):
         pool = make_pool([1.0, 2.0])
         pool[0].F = None
@@ -282,6 +295,29 @@ def test_train_equals_adam_on_each_weight_array():
     assert trained.loss_curve == curve
     for k in _PARAM_NAMES:
         assert np.array_equal(getattr(trained, k), getattr(ref, k))
+
+
+def test_train_bits_pinned():
+    # A 40-point pool with six duplicate points and F ties, set up as
+    # crframework.maybe_retrain sets up a training event; the sha1 of the
+    # loss curve and of the trained weights were captured before the loss
+    # and the Adam update were rewritten to work in place.
+    rng = np.random.default_rng(40)
+    X = rng.uniform(-5.0, 10.0, (40, 2))
+    X[34:] = X[[0, 3, 3, 7, 11, 20]]
+    F = np.round((X[:, 0] - 1.0) ** 2 + X[:, 1], 0)
+    pool = [UpperIndividual(x_u=x, x_l_star=np.zeros(3), F=float(f), f_star=0.0)
+            for x, f in zip(X, F)]
+    params = RankNetParams.init(2, 3, 8, rng, normalizer=Normalizer.fit(X))
+    ds = pdp(pool, params.normalizer)
+    assert (len(ds.X), len(np.unique(F))) == (34, 24)
+    scale_init_to_batch(params, ds.X[ds.ia], rng)
+    trained = train(params, ds, epochs=200, lr=0.1)
+    assert len(trained.loss_curve) == 163  # the early stop fired
+    weights = np.concatenate([getattr(trained, k).ravel() for k in _PARAM_NAMES])
+    assert (hashlib.sha1(np.array(trained.loss_curve).tobytes()).hexdigest()
+            == "e52c190a0560cb500f4374743e35fe3e6e4d00d4")
+    assert hashlib.sha1(weights.tobytes()).hexdigest() == "d4536156f11ef707ada42a925733fe1698c841d6"
 
 
 def test_training_empty_dataset():
