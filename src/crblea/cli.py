@@ -40,17 +40,6 @@ def run_single(cfg: HarnessConfig, seed: int) -> RunRecord:
     return run_cr_blea(p, cfg, seed)
 
 
-def _run_single_from_dict(cfg_dict, seed):
-    # module-level entry so worker processes can unpickle the call
-    return run_single(harness_config_from_dict(cfg_dict), seed)
-
-
-def _cfg_to_dict(cfg: HarnessConfig):
-    d = dataclasses.asdict(cfg)
-    d.pop("pop_formula", None)
-    return d
-
-
 def _atomic_write(path, text):
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
@@ -86,9 +75,8 @@ def execute_runs(cfg: HarnessConfig, jobs=1):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
 
-        cfg_dict = _cfg_to_dict(cfg)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_single_from_dict, [cfg_dict] * len(seeds), seeds))
+            return list(pool.map(run_single, [cfg] * len(seeds), seeds))
     return [run_single(cfg, s) for s in seeds]
 
 

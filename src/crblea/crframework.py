@@ -96,9 +96,11 @@ def pgr(params, P_u, variation, N_u, allow_resample=True):
     """Population generation with ranking and resampling.
 
     ``variation`` produces a list of offspring x_u vectors, scored through
-    ``params.normalizer``.  Returns the ceil(N_u / 2) top-scoring offspring as
-    ``(x_u, score)`` pairs plus a flag telling whether resampling fired.
-    Parents must carry scores from the current network generation.
+    ``params.normalizer``.  When even the best of them scores below the best
+    parent, one more batch is drawn and scored alongside.  Returns the
+    ceil(N_u / 2) top-scoring offspring as ``(x_u, score)`` pairs, ties in
+    the order drawn, plus a flag telling whether resampling fired.  Parents
+    must carry scores from the current network generation.
     """
     parent_scores = [ind.rank_score for ind in P_u]
     if any(s is None for s in parent_scores):
@@ -107,18 +109,13 @@ def pgr(params, P_u, variation, N_u, allow_resample=True):
 
     offspring = variation()
     scores = ranking_scores(params, params.normalizer(np.array(offspring)))
-    order = sorted(range(len(offspring)), key=lambda i: -scores[i])
-    kept = [(offspring[i], float(scores[i])) for i in order[:k]]
-
-    resampled = False
-    if allow_resample and max(s for _, s in kept) < max(parent_scores):
-        resampled = True
+    resampled = allow_resample and bool(scores.max() < max(parent_scores))
+    if resampled:
         extra = variation()
-        extra_scores = ranking_scores(params, params.normalizer(np.array(extra)))
-        merged = kept + [(extra[i], float(extra_scores[i])) for i in range(len(extra))]
-        order = sorted(range(len(merged)), key=lambda i: -merged[i][1])
-        kept = [merged[i] for i in order[:k]]
-    return kept, resampled
+        offspring = [*offspring, *extra]
+        scores = np.concatenate([scores, ranking_scores(params, params.normalizer(np.array(extra)))])
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [(offspring[i], float(scores[i])) for i in order], resampled
 
 
 def _refresh_scores(params, P_u):

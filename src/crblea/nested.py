@@ -60,10 +60,6 @@ class UpperIndividual:
         return self
 
 
-class _BudgetExhausted(Exception):
-    """Internal control flow: the per-task lower-level FE cap was reached."""
-
-
 def _violation(cons):
     """Summed positive excess of an infeasible point's constraints.  Callers
     take 0.0 for a point the evaluation reports feasible, which is what the
@@ -89,8 +85,6 @@ def lower_level_search(p: ProblemSpec, x_u, cfg: LowerConfig, rule: TerminationR
     budget = rule.fes_l_max
 
     def objective(x_l):
-        if len(hist) >= budget:
-            raise _BudgetExhausted
         f, g, feasible = evaluate_lower(p, x_u, x_l, ledger)
         hist.append(f)
         return f, 0.0 if feasible else _violation(g)
@@ -104,13 +98,10 @@ def lower_level_search(p: ProblemSpec, x_u, cfg: LowerConfig, rule: TerminationR
     # that poison the upper-level objective.
     w = rule.fes_l_var_window
     state = init_search(cfg, p.lower_bounds, objective, rng=rng, start=start)
-    try:
-        while len(hist) < budget:
-            if len(hist) >= w and max(hist[-w:]) - min(hist[-w:]) < rule.lower_var_eps:
-                break
-            step(state, objective)
-    except _BudgetExhausted:
-        pass
+    while len(hist) < budget:
+        if len(hist) >= w and max(hist[-w:]) - min(hist[-w:]) < rule.lower_var_eps:
+            break
+        step(state, objective, budget - len(hist))
     return state.best
 
 

@@ -188,20 +188,14 @@ class CmaState:
         feasibility-first keys.
 
         The first row with the least key replaces the best-so-far point if
-        it beats it.  Rows scored before the objective raises (a budget
-        stop) still count towards the best-so-far point.
+        it beats it.
         """
-        scores = []
-        try:
-            for x in X:
-                scores.append(objective(x))
-        finally:
-            keys = [_ff_key(f, v) for f, v in scores]
-            if keys:
-                i = min(range(len(keys)), key=keys.__getitem__)
-                if keys[i] < _ff_key(self.best_fitness, self.best_violation):
-                    self.best_x = X[i].copy()
-                    self.best_fitness, self.best_violation = scores[i]
+        scores = [objective(x) for x in X]
+        keys = [_ff_key(f, v) for f, v in scores]
+        i = min(range(len(keys)), key=keys.__getitem__)
+        if keys[i] < _ff_key(self.best_fitness, self.best_violation):
+            self.best_x = X[i].copy()
+            self.best_fitness, self.best_violation = scores[i]
         return keys
 
     def _decompose(self):
@@ -220,12 +214,15 @@ class CmaState:
         self.C = (vecs * vals) @ vecs.T
         self.inv_sqrt_C = (vecs * (1.0 / self.D)) @ vecs.T
 
-    def _step(self, objective):
+    def _step(self, objective, limit=None):
         s = self.strategy
         lam = self.config.pop_size
 
         Z = self.rng.standard_normal((lam, self.dim))
         X = _clip(self.mean + self.sigma * (Z @ self.BD.T), self.low, self.high)
+        if limit is not None and limit < lam:
+            self._evaluate(X[:limit], objective)
+            return
         keys = self._evaluate(X, objective)
         self.population = X
 
@@ -265,7 +262,14 @@ def init_search(config: LowerConfig, bounds, objective, rng, *, start=None) -> C
     return CmaState(config.validate(), bounds, objective, rng, start)
 
 
-def step(state: CmaState, objective) -> CmaState:
-    """Advance one generation in place; returns the same state object."""
-    state._step(objective)
+def step(state: CmaState, objective, limit=None) -> CmaState:
+    """Advance one generation in place; returns the same state object.
+
+    With a positive ``limit`` below the population size only the first
+    ``limit`` samples are evaluated (a budget stop): they can still replace
+    the best-so-far point, but the distribution is not updated.  The whole
+    generation is drawn either way, so the random stream does not depend on
+    the limit.
+    """
+    state._step(objective, limit)
     return state

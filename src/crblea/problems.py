@@ -107,7 +107,7 @@ def evaluate_lower(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
 # ---------------------------------------------------------------------------
 
 
-def make_toy(variant: str, m: int, a, c) -> ProblemSpec:
+def make_toy(m: int, a, c) -> ProblemSpec:
     """Analytic quadratic bilevel problem.
 
     Lower level: f = ||x_l - x_u - c||^2, minimized exactly at x_l = x_u + c.
@@ -115,8 +115,6 @@ def make_toy(variant: str, m: int, a, c) -> ProblemSpec:
     problem F(x_u) = ||x_u - a||^2 + ||x_u + c||^2 has its optimum at
     x_u* = (a - c) / 2.
     """
-    if variant != "tq":
-        raise ConfigurationError(f"unknown toy variant {variant!r}")
     if m < 1:
         raise ContractViolationError("m must be >= 1")
     a = np.broadcast_to(np.asarray(a, dtype=float), (m,)).copy()
@@ -352,7 +350,7 @@ def make_smd(index: int, m: int, n: int) -> ProblemSpec:
 _REGISTRY = {f"smd{i}": (lambda i=i: make_smd(i, 2, 3)) for i in range(1, 13)}
 # a = -c puts the optimal lower vector at the origin, so lower-solve residuals
 # perturb F only at second order and the accuracy floor stays reachable
-_REGISTRY["tq"] = lambda: make_toy("tq", 2, a=(2.0, 2.0), c=(-2.0, -2.0))
+_REGISTRY["tq"] = lambda: make_toy(2, a=(2.0, 2.0), c=(-2.0, -2.0))
 
 
 def problem_names():

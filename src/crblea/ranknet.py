@@ -72,51 +72,59 @@ class Normalizer:
 _PARAM_NAMES = ("W_psi", "b_psi", "W1", "b1", "W2", "b2", "w3", "b3")
 
 
+@functools.cache
+def _layout(m, n, q):
+    """``(name, slice, shape)`` of every weight array in the flat vector
+    ``theta``, in ``_PARAM_NAMES`` order."""
+    shapes = ((n, m), (n,), (q, m + n), (q,), (q, q), (q,), (q,), (1,))
+    out, start = [], 0
+    for name, shape in zip(_PARAM_NAMES, shapes):
+        size = math.prod(shape)
+        out.append((name, slice(start, start + size), shape))
+        start += size
+    return tuple(out)
+
+
 class RankNetParams:
     """Weights and the retraining counter of the subnet.
 
-    ``normalizer`` is the map from upper points to the network's inputs that
-    the weights were trained under (None when the caller feeds normalized
-    inputs itself).
+    ``theta`` holds every weight, joined in ``_PARAM_NAMES`` order; each
+    named weight (``W_psi`` ... ``b3``) is a view of its part of ``theta``,
+    so writing into either changes both.  ``normalizer`` is the map from
+    upper points to the network's inputs that the weights were trained
+    under (None when the caller feeds normalized inputs itself).
     """
 
-    def __init__(self, m, n, q, weights, psi_relu=True, generation_id=0, normalizer=None):
+    def __init__(self, m, n, q, theta, psi_relu=True, generation_id=0, normalizer=None):
         self.m = m
         self.n = n
         self.q = q
         self.psi_relu = psi_relu
         self.generation_id = generation_id
-        for name in _PARAM_NAMES:
-            setattr(self, name, weights[name])
+        self.theta = theta
+        for name, sl, shape in _layout(m, n, q):
+            setattr(self, name, theta[sl].reshape(shape))
         self.loss_curve = []
         self.normalizer = normalizer
 
     @classmethod
     def init(cls, m, n, q, rng, psi_relu=True, generation_id=0, normalizer=None):
+        """Glorot-uniform weight matrices and zero biases."""
         def glorot(fan_out, fan_in):
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+            return rng.uniform(-limit, limit, size=fan_out * fan_in)
 
-        weights = {
-            "W_psi": glorot(n, m),
-            "b_psi": np.zeros(n),
-            "W1": glorot(q, m + n),
-            "b1": np.zeros(q),
-            "W2": glorot(q, q),
-            "b2": np.zeros(q),
-            "w3": glorot(1, q)[0],
-            "b3": np.zeros(1),
-        }
-        return cls(m, n, q, weights, psi_relu=psi_relu, generation_id=generation_id,
+        theta = np.concatenate([glorot(n, m), np.zeros(n), glorot(q, m + n), np.zeros(q),
+                                glorot(q, q), np.zeros(q), glorot(1, q), np.zeros(1)])
+        return cls(m, n, q, theta, psi_relu=psi_relu, generation_id=generation_id,
                    normalizer=normalizer)
 
     @property
     def param_count(self):
-        return sum(getattr(self, k).size for k in _PARAM_NAMES)
+        return self.theta.size
 
     def copy(self):
-        weights = {k: getattr(self, k).copy() for k in _PARAM_NAMES}
-        return RankNetParams(self.m, self.n, self.q, weights, psi_relu=self.psi_relu,
+        return RankNetParams(self.m, self.n, self.q, self.theta.copy(), psi_relu=self.psi_relu,
                              generation_id=self.generation_id, normalizer=self.normalizer)
 
 
@@ -142,13 +150,14 @@ def scale_init_to_batch(params: RankNetParams, X, rng):
         W /= s[:, None]
         return -(inputs @ W.T).mean(axis=0)
 
-    params.b_psi = center(params.W_psi, params.b_psi, X)
+    # the biases are views of params.theta: write into them, never rebind
+    params.b_psi[:] = center(params.W_psi, params.b_psi, X)
     A0 = X @ params.W_psi.T + params.b_psi
     H0 = np.maximum(A0, 0.0) if params.psi_relu else A0
     Z = np.concatenate([X, H0], axis=1)
-    params.b1 = center(params.W1, params.b1, Z) + rng.normal(0.0, 0.3, params.b1.shape)
+    params.b1[:] = center(params.W1, params.b1, Z) + rng.normal(0.0, 0.3, params.b1.shape)
     H1 = np.maximum(Z @ params.W1.T + params.b1, 0.0)
-    params.b2 = center(params.W2, params.b2, H1) + rng.normal(0.0, 0.3, params.b2.shape)
+    params.b2[:] = center(params.W2, params.b2, H1) + rng.normal(0.0, 0.3, params.b2.shape)
     return params
 
 
@@ -191,8 +200,7 @@ def _forward_cached(params, X):
 
 
 def _backward(params, cache, dS):
-    """Gradients of every weight array, flattened and joined in
-    ``_PARAM_NAMES`` order (the layout of ``_flatten``)."""
+    """Gradient of every weight, laid out as ``params.theta``."""
     X, A0, Z, A1, H1, A2, H2 = cache
     dA2 = dS[:, None] * params.w3 * (A2 > 0)
     dA1 = (dA2 @ params.W2) * (A1 > 0)
@@ -205,27 +213,6 @@ def _backward(params, cache, dS):
         (dA2.T @ H1).ravel(), colsum(dA2, axis=0),
         H2.T @ dS, colsum(dS, keepdims=True),
     ])
-
-
-def _slices(params):
-    """``(name, slice, shape)`` of every weight array in the flat layout."""
-    out, start = [], 0
-    for k in _PARAM_NAMES:
-        shape = getattr(params, k).shape
-        size = math.prod(shape)
-        out.append((k, slice(start, start + size), shape))
-        start += size
-    return out
-
-
-def _flatten(params):
-    """Copy the weights of ``params`` into one vector and rebind each weight
-    attribute to its view of that vector; returns the vector."""
-    layout = _slices(params)
-    theta = np.concatenate([getattr(params, k).ravel() for k in _PARAM_NAMES])
-    for k, sl, shape in layout:
-        setattr(params, k, theta[sl].reshape(shape))
-    return theta
 
 
 def subnet_batch(params, X):
@@ -350,7 +337,8 @@ def pair_loss_and_grads(params, dataset: PairDataset):
     dict keyed by weight name.
     """
     loss, grads = _pair_loss(dataset)(params)
-    return loss, {k: grads[sl].reshape(shape) for k, sl, shape in _slices(params)}
+    return loss, {k: grads[sl].reshape(shape)
+                  for k, sl, shape in _layout(params.m, params.n, params.q)}
 
 
 def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
@@ -365,7 +353,7 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
     if len(dataset) == 0:
         raise ContractViolationError("cannot train on an empty dataset")
     out = params.copy()
-    theta = _flatten(out)  # Adam updates every weight array at once
+    theta = out.theta  # Adam updates every weight array at once
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     step = np.empty_like(theta)

@@ -145,6 +145,13 @@ def test_parallel_runs_capped_and_equal_to_sequential(monkeypatch, sequential_cr
     assert parallel == sequential
 
 
+def test_worker_processes_equal_sequential(monkeypatch, sequential_cr_runs):
+    # a real two-worker pool: the config itself travels to the workers
+    cfg, sequential = sequential_cr_runs
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert [r.to_dict() for r in cli.execute_runs(cfg, jobs=2)] == sequential
+
+
 def test_compare_rejects_mismatched_problems(tmp_path, capsys):
     base = write_config(tmp_path, "base.json", base_config())
     variant = write_config(tmp_path, "variant.json", base_config(problem="smd1"))

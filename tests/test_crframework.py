@@ -204,6 +204,26 @@ class TestPgr:
         kept, resampled = pgr(self.NET, parents, variation, N_u=4, allow_resample=False)
         assert not resampled and [k[1] for k in kept] == [0.1, 0.05]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_sort_equals_sorting_each_batch(self, monkeypatch, seed):
+        # pgr used to keep the top k of the first batch and then re-sort
+        # those k with the resampled batch; scores drawn from three levels
+        # tie at the k-th score within and across the batches
+        rng = np.random.default_rng(seed)
+        levels = rng.choice([0.1, 0.2, 0.3], size=10)
+        monkeypatch.setattr(crf, "ranking_scores",
+                            FixedScores({float(i): s for i, s in enumerate(levels)}))
+        parents = make_parents([0.5, 0.4, 0.3, 0.2, 0.1, 0.0])
+        batches = [[0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0, 9.0]]
+
+        def two_sorts(first, second, k):
+            by_score = lambda xs: sorted(xs, key=lambda x: -levels[int(x)])  # noqa: E731
+            return by_score(by_score(first)[:k] + second)[:k]
+
+        kept, resampled = pgr(self.NET, parents, self.variation_factory(batches), N_u=6)
+        assert resampled
+        assert [(x[0], s) for x, s in kept] == [(x, levels[int(x)]) for x in two_sorts(*batches, 3)]
+
     def test_unscored_parents_rejected(self):
         parents = make_parents([0.5, 0.4, None, 0.2])
         with pytest.raises(ContractViolationError):

@@ -186,25 +186,42 @@ def test_decomposition_failure_raises():
         state._decompose()
 
 
-def test_rows_scored_before_a_raise_count_towards_the_best():
-    # a budget stop raises part-way through a generation; the rows scored
-    # before it still reach the best-so-far point, the first least row first
-    class Stop(Exception):
-        pass
-
+@pytest.mark.parametrize("limit", [1, 3, 5])
+def test_limited_step_scores_only_the_first_rows(limit):
+    # a budget stop part-way through a generation: the rows the limit covers
+    # reach the best-so-far point, the first least row first; no row past
+    # the limit reaches the objective, and the distribution stays as it was
     state = init_search(LowerConfig(pop_size=6), BOUNDS3, sphere, rng=np.random.default_rng(0))
+    mean, sigma, population = state.mean.copy(), state.sigma, state.population
     seen = []
 
     def objective(x):
-        if len(seen) == 3:
-            raise Stop
         seen.append(x.copy())
-        return (-1.0, -2.0)[len(seen) % 2], 0.0  # -2, -1, -2
+        return (-1.0, -2.0)[len(seen) % 2], 0.0  # -2, -1, -2, -1, -2
 
-    with pytest.raises(Stop):
-        step(state, objective)
+    step(state, objective, limit)
+    assert len(seen) == limit
     assert state.best_fitness == -2.0
     assert np.array_equal(state.best_x, seen[0])
+    assert np.array_equal(state.mean, mean) and state.sigma == sigma
+    assert state.population is population and state.generation == 0
+
+
+def test_limited_step_draws_the_whole_generation():
+    # a limited step evaluates the first rows of the generation a full step
+    # would draw, and leaves the random stream where a full step leaves it
+    seen = []
+
+    def recorded(x):
+        seen.append(x.copy())
+        return sphere(x)
+
+    full = init_search(LowerConfig(pop_size=6), BOUNDS3, sphere, rng=np.random.default_rng(1))
+    limited = init_search(LowerConfig(pop_size=6), BOUNDS3, sphere, rng=np.random.default_rng(1))
+    step(full, sphere)
+    step(limited, recorded, 2)
+    assert np.array_equal(np.array(seen), full.population[:2])
+    assert full.rng.random() == limited.rng.random()
 
 
 @pytest.mark.parametrize("pop, d", [(2, 1), (5, 3), (6, 3), (9, 7)])

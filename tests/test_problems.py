@@ -183,7 +183,7 @@ def test_make_smd_dimension_validation():
 
 
 def test_toy_analytic_optimum():
-    p = make_toy("tq", 2, a=(2.0, 2.0), c=(1.0, 1.0))
+    p = make_toy(2, a=(2.0, 2.0), c=(1.0, 1.0))
     x_u_star, x_l_star = p.optimum_point
     assert np.allclose(x_u_star, [0.5, 0.5])
     assert np.allclose(x_l_star, [1.5, 1.5])
@@ -192,7 +192,7 @@ def test_toy_analytic_optimum():
 
 
 def test_toy_lower_response_closed_form():
-    p = make_toy("tq", 3, a=1.0, c=-2.0)
+    p = make_toy(3, a=1.0, c=-2.0)
     rng = np.random.default_rng(1)
     ledger = EvalLedger()
     for _ in range(10):
@@ -202,12 +202,7 @@ def test_toy_lower_response_closed_form():
 
 
 def test_toy_bounds_cover_optimum_with_margin():
-    p = make_toy("tq", 2, a=(8.0, -8.0), c=(3.0, 3.0))
+    p = make_toy(2, a=(8.0, -8.0), c=(3.0, 3.0))
     x_u_star, x_l_star = p.optimum_point
     for x, bounds in ((x_u_star, p.upper_bounds), (x_l_star, p.lower_bounds)):
         assert np.all(x > bounds[:, 0]) and np.all(x < bounds[:, 1])
-
-
-def test_toy_unknown_variant():
-    with pytest.raises(ConfigurationError):
-        make_toy("cube", 2, a=1.0, c=1.0)

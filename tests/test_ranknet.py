@@ -320,6 +320,31 @@ def test_train_bits_pinned():
     assert hashlib.sha1(weights.tobytes()).hexdigest() == "d4536156f11ef707ada42a925733fe1698c841d6"
 
 
+def assert_flat_layout(params):
+    # every named weight is a view of theta, and theta is the named weights
+    # joined in _PARAM_NAMES order
+    for k in _PARAM_NAMES:
+        assert np.shares_memory(getattr(params, k), params.theta), k
+    joined = np.concatenate([getattr(params, k).ravel() for k in _PARAM_NAMES])
+    assert np.array_equal(params.theta, joined)
+
+
+def test_weights_stay_views_of_one_flat_vector():
+    rng = np.random.default_rng(12)
+    ds = pdp(make_pool(rng.normal(size=8), rng=rng), IDENTITY)
+    params = RankNetParams.init(2, 3, 4, rng)
+    assert_flat_layout(params)
+    copy = params.copy()
+    assert_flat_layout(copy)
+    assert not np.shares_memory(copy.theta, params.theta)
+    assert np.array_equal(copy.theta, params.theta)
+    scale_init_to_batch(params, ds.X[ds.ia], rng)
+    assert_flat_layout(params)
+    trained = train(params, ds, epochs=5)
+    assert_flat_layout(trained)
+    assert not np.shares_memory(trained.theta, params.theta)
+
+
 def test_training_empty_dataset():
     with pytest.raises(ContractViolationError):
         empty = np.zeros(0, dtype=int)
