@@ -51,8 +51,10 @@ def test_smd1_protocol_run_matches_cached_corpus_record(mode):
 # smd12 is constrained at both levels, so the feasibility-first paths of the
 # lower CMA-ES, the upper selection and the gated CR loop (2 trainings, 2
 # resamplings at this budget) are all live.  The smd6 run is the nested
-# baseline with the default lower configuration.  Both start every task after
-# the first from archived responses.
+# baseline with the default lower configuration.  The two smd12 ablations pin
+# the random task choice of "cr_no_net" (no training) and the gated loop
+# without resampling of "cr_no_resample" (2 trainings).  All start every task
+# after the first from archived responses.
 SHORT_RUNS = {
     "smd12-cr-lowercma": (
         replace(protocol_config("smd12", "cr"),
@@ -63,6 +65,16 @@ SHORT_RUNS = {
         replace(protocol_config("smd6", "nested"),
                 termination=TerminationRule(fes_u_max=60, fes_l_max=100)),
         "e35d0868ee4f4a6f8fc72dc880b8fc4efa2da869",
+    ),
+    "smd12-cr_no_net-lowercma": (
+        replace(protocol_config("smd12", "cr_no_net"),
+                termination=TerminationRule(fes_u_max=120, fes_l_max=100)),
+        "6f28fe01b60fe5621e7da39bcaeae34238e53793",
+    ),
+    "smd12-cr_no_resample-lowercma": (
+        replace(protocol_config("smd12", "cr_no_resample"),
+                termination=TerminationRule(fes_u_max=120, fes_l_max=100)),
+        "6d0a59e391d56b62ab9a8078b53a9f1189b60abb",
     ),
 }
 
