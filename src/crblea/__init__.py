@@ -6,7 +6,7 @@ full lower-level search, cutting the total function-evaluation bill.
 """
 
 from .config import HarnessConfig, default_lower_pop, default_upper_pop, harness_config_from_dict
-from .crframework import SolutionPool, maybe_retrain, pgr, run_cr_blea
+from .crframework import pgr, retrain, run_cr_blea
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -59,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HarnessConfig", "default_upper_pop", "default_lower_pop", "harness_config_from_dict",
-    "SolutionPool", "maybe_retrain", "pgr", "run_cr_blea",
+    "pgr", "retrain", "run_cr_blea",
     "CrbleaError", "ContractViolationError", "ConfigurationError",
     "EvaluationError", "TrainingDivergenceError",
     "EvalLedger",

@@ -1,12 +1,15 @@
 """Resource-allocation framework around the nested baseline.
 
-The run starts as a plain nested BLEA while evaluated solutions accumulate in
-a pool.  Once the pool can supply enough training pairs, a contrastive
-ranking network is trained on it and the loop switches permanently to the
-allocated phase: each generation, offspring are scored against a fixed zero
-reference and only the top half receive a lower-level search, with one
-optional resampling when the offspring look worse than the parents.  The
-network is retrained every time the pool refills.
+A run is two loops.  The warm-up loop is the plain nested BLEA, and every
+evaluated individual goes into a pool, a plain list.  Once the pool holds
+``pool_trigger_size`` points, enough training pairs for the contrastive
+ranking network, the run switches for good to the allocated loop: each
+generation, offspring are scored against a fixed zero reference and only the
+top half receive a lower-level search, with one optional resampling when the
+offspring look worse than the parents.  Whenever the pool refills to the
+trigger, ``retrain`` trains a fresh network on it and the pool is emptied.
+The "cr_no_net" ablation keeps no pool after the switch: it picks its half
+uniformly at random.
 """
 
 import math
@@ -38,58 +41,30 @@ from .ranknet import (
 CR_MODES = ("cr", "cr_no_net", "cr_no_resample")
 
 
-class SolutionPool:
-    """Evaluated upper-level individuals pending use as training data."""
-
-    def __init__(self, capacity_trigger):
-        self.entries = []
-        self.capacity_trigger = capacity_trigger
-
-    def extend(self, individuals):
-        for ind in individuals:
-            ind.require_evaluated()
-        self.entries.extend(individuals)
-
-    def clear(self):
-        self.entries = []
-
-    def __len__(self):
-        return len(self.entries)
-
-    @property
-    def full(self):
-        return len(self.entries) >= self.capacity_trigger
-
-
-def maybe_retrain(pool: SolutionPool, params: RankNetParams, net_cfg, rng):
-    """Retrain on a full pool; otherwise identity.
+def retrain(pool, params: RankNetParams, net_cfg, rng):
+    """Train a fresh network generation on the evaluated individuals ``pool``.
 
     Returns ``(params, accuracy_entry)`` where ``accuracy_entry`` is the old
-    network's pairwise accuracy on the fresh dataset (None when the pool was
-    not full, the old network was untrained, or every pair tied), measured
-    through the old network's input map ``params.normalizer``.  Each
-    training event starts a freshly initialized network.  Late pools fill a
-    small corner of the problem box, so it is trained on the pool's own
-    bounding box mapped onto the unit cube and carries that map.  The pool is
-    cleared after a training event; on divergence the previous network is
-    kept and the pool is still cleared.
+    network's pairwise accuracy on the fresh dataset (None when the old
+    network was untrained or every pair tied), measured through the old
+    network's input map ``params.normalizer``.  Late pools fill a small
+    corner of the problem box, so the new network is trained on the pool's
+    own bounding box mapped onto the unit cube and carries that map.  On
+    divergence the previous network is returned.  The caller empties the
+    pool.
     """
-    if not pool.full:
-        return params, None
     base = RankNetParams.init(params.m, params.n, params.q, rng,
                               psi_relu=params.psi_relu, generation_id=params.generation_id,
-                              normalizer=Normalizer.fit([ind.x_u for ind in pool.entries]))
-    dataset = pdp(pool.entries, base.normalizer)
-    acc = (model_accuracy(params, dataset.under(pool.entries, params.normalizer))
+                              normalizer=Normalizer.fit([ind.x_u for ind in pool]))
+    dataset = pdp(pool, base.normalizer)
+    acc = (model_accuracy(params, dataset.under(pool, params.normalizer))
            if params.generation_id > 0 else None)
     # each pool point repeated N-1 times, the batch the recorded runs scaled on
     scale_init_to_batch(base, dataset.X[dataset.ia], rng)
     try:
-        params = train(base, dataset, epochs=net_cfg.epochs, lr=net_cfg.lr)
+        return train(base, dataset, epochs=net_cfg.epochs, lr=net_cfg.lr), acc
     except TrainingDivergenceError:
-        pass  # keep the previous network generation
-    pool.clear()
-    return params, acc
+        return params, acc  # keep the previous network generation
 
 
 def pgr(params, P_u, variation, N_u, allow_resample=True):
@@ -145,38 +120,39 @@ def run_cr_blea(p, cfg, seed):
     q = cfg.net.width_for(p.m, p.n)
     params = RankNetParams.init(p.m, p.n, q, net_rng, psi_relu=cfg.net.psi_relu,
                                 normalizer=Normalizer(p.upper_bounds))
-    pool = SolutionPool(pool_trigger_size(params))
+    trigger = pool_trigger_size(params)
 
     P_u = init_upper_population(p, cfg, ledger, tracker, rng, archive)
     N_u = cfg.upper.pop_size
-    pool.extend(P_u)
+    pool = list(P_u)
     ledger.checkpoint(tracker.best.F)
 
-    allocated = False
     model_acc_history = []
     resamplings = 0
+
+    def stop():
+        return confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive)
 
     def variation():
         return upper_variation(P_u, cfg.upper, p.upper_bounds, rng)
 
-    while not (stop_reason := confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive)):
-        if not pool.full and not allocated:
-            # warm-up: the nested baseline's generation, pooling all evaluated offspring
-            P_u, offspring = nested_generation(p, P_u, variation(), cfg, ledger, tracker, rng,
-                                               archive)
-            pool.extend(offspring)
-            continue
+    # warm-up: the nested baseline's generations, pooling every evaluated offspring
+    while not (stop_reason := stop()) and len(pool) < trigger:
+        P_u, offspring = nested_generation(p, P_u, variation(), cfg, ledger, tracker, rng,
+                                           archive)
+        pool.extend(offspring)
 
+    # allocated: only the chosen half of each generation's offspring is resolved
+    while not stop_reason:
         if cfg.mode == "cr_no_net":
-            if pool.full:
-                pool.clear()
             candidates = variation()
-            k = math.ceil(N_u / 2)
-            chosen = rng.choice(len(candidates), size=k, replace=False)
-            selected = [(candidates[i], None) for i in chosen]
+            chosen = rng.choice(len(candidates), size=math.ceil(N_u / 2), replace=False)
+            P_u, _ = nested_generation(p, P_u, [candidates[i] for i in chosen], cfg, ledger,
+                                       tracker, rng, archive)
         else:
-            if pool.full:
-                params, acc = maybe_retrain(pool, params, cfg.net, net_rng)
+            if len(pool) >= trigger:
+                params, acc = retrain(pool, params, cfg.net, net_rng)
+                pool = []
                 if acc is not None:
                     model_acc_history.append(acc)
                 _refresh_scores(params, P_u)
@@ -185,13 +161,12 @@ def run_cr_blea(p, cfg, seed):
                 allow_resample=(cfg.mode != "cr_no_resample"),
             )
             resamplings += int(resampled)
-
-        P_u, evaluated = nested_generation(p, P_u, [x_u for x_u, _ in selected], cfg, ledger,
-                                           tracker, rng, archive)
-        for ind, (_, score) in zip(evaluated, selected):
-            ind.rank_score = score
-        allocated = True
-        pool.extend(evaluated)
+            P_u, evaluated = nested_generation(p, P_u, [x_u for x_u, _ in selected], cfg,
+                                               ledger, tracker, rng, archive)
+            for ind, (_, score) in zip(evaluated, selected):
+                ind.rank_score = score
+            pool.extend(evaluated)
+        stop_reason = stop()
 
     return build_run_record(
         p, cfg, seed, ledger, tracker,
@@ -199,5 +174,5 @@ def run_cr_blea(p, cfg, seed):
         model_acc_history=model_acc_history,
         trainings_done=params.generation_id,  # each successful training adds one
         resamplings=resamplings,
-        pool_trigger=pool.capacity_trigger,
+        pool_trigger=trigger,
     )

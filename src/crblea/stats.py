@@ -93,8 +93,6 @@ def _ranksum_pvalue_normal(a, b):
     for t in seen.values():
         tie_term += t**3 - t
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if var <= 0:
-        return 1.0
     diff = U1 - mu
     z = (diff - math.copysign(0.5, diff)) / math.sqrt(var) if diff != 0 else 0.0
     return 2.0 * (1.0 - 0.5 * (1.0 + math.erf(abs(z) / math.sqrt(2.0))))

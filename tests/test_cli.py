@@ -160,6 +160,16 @@ def test_compare_rejects_mismatched_problems(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compare_rejects_unequal_runs(tmp_path, capsys):
+    base = write_config(tmp_path, "base.json", base_config("nested", runs=2))
+    variant = write_config(tmp_path, "variant.json", base_config("cr", runs=3))
+    out_dir = tmp_path / "x"
+    assert main(["compare", "--config", base, "--variant-config", variant,
+                 "--out", str(out_dir)]) == 2
+    assert "same number of runs" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_problem_name_case_is_one_problem(tmp_path, capsys):
     # "TQ" names the registry's "tq": compare accepts the pair, and every file
     # of the run carries the registry name
@@ -218,12 +228,25 @@ def test_suite_requires_directory(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_suite_on_an_empty_directory_writes_an_empty_report(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["suite", "--config", str(tmp_path), "--out", str(out_dir)]) == 0
+    assert "no config files found" in capsys.readouterr().err
+    with open(out_dir / "suite.json") as fh:
+        assert json.load(fh) == {"rows": [], "errors": {}}
+
+
 def test_negative_seed_rejected(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "cfg.json", base_config())
     out_dir = tmp_path / "out"
     assert main(["run", "--config", cfg_path, "--seed", "-1", "--out", str(out_dir)]) == 2
     assert "base_seed" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_missing_config_file(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_invalid_config_file(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Resource-allocation framework: pool, retraining, gating, full runs."""
+"""Resource-allocation framework: retraining, training pools, gating, full runs."""
 
 import math
 
@@ -12,12 +12,12 @@ from crblea import (
     NetConfig,
     Normalizer,
     RankNetParams,
-    SolutionPool,
     TerminationRule,
+    TrainingDivergenceError,
     UpperConfig,
     UpperIndividual,
-    maybe_retrain,
     pgr,
+    retrain,
     run_cr_blea,
     run_nested_blea,
 )
@@ -45,61 +45,34 @@ def evaluated(x, F):
                            F=float(F), f_star=0.0)
 
 
-class TestSolutionPool:
-    def test_extend_requires_evaluated(self):
-        pool = SolutionPool(capacity_trigger=3)
-        with pytest.raises(ContractViolationError):
-            pool.extend([UpperIndividual(x_u=np.zeros(2))])
-
-    def test_full_and_clear(self):
-        pool = SolutionPool(capacity_trigger=2)
-        pool.extend([evaluated([0, 0], 1.0)])
-        assert not pool.full
-        pool.extend([evaluated([1, 1], 2.0)])
-        assert pool.full and len(pool) == 2
-        pool.clear()
-        assert len(pool) == 0
+def evaluated_pool(rng, n):
+    return [evaluated(x, float(x[0])) for x in rng.uniform(0, 1, (n, 2))]
 
 
-class TestMaybeRetrain:
+class TestRetrain:
     def setup_method(self):
         self.rng = np.random.default_rng(0)
         self.params = RankNetParams.init(2, 2, 2, self.rng, normalizer=IDENTITY)
         self.net_cfg = NetConfig(q=2, epochs=30)
 
-    def fill(self, pool, n):
-        X = self.rng.uniform(0, 1, (n, 2))
-        pool.extend([evaluated(x, float(x[0])) for x in X])
-
-    def test_identity_below_trigger(self):
-        pool = SolutionPool(capacity_trigger=10)
-        self.fill(pool, 9)
-        params, acc = maybe_retrain(pool, self.params, self.net_cfg, self.rng)
-        assert params is self.params and acc is None
-        assert len(pool) == 9
-
-    def test_first_training_clears_pool_no_accuracy_entry(self):
-        pool = SolutionPool(capacity_trigger=8)
-        self.fill(pool, 8)
-        params, acc = maybe_retrain(pool, self.params, self.net_cfg, self.rng)
+    def test_first_training_has_no_accuracy_entry(self):
+        pool = evaluated_pool(self.rng, 8)
+        params, acc = retrain(pool, self.params, self.net_cfg, self.rng)
         assert acc is None  # nothing trained yet, so nothing to test
         assert params.generation_id == 1
-        assert len(pool) == 0
+        assert len(pool) == 8  # the run loop, not retrain, empties the pool
 
     def test_second_refill_reports_old_model_accuracy(self):
-        pool = SolutionPool(capacity_trigger=8)
-        self.fill(pool, 8)
-        params, _ = maybe_retrain(pool, self.params, self.net_cfg, self.rng)
-        self.fill(pool, 8)
-        params2, acc = maybe_retrain(pool, params, self.net_cfg, self.rng)
+        params, _ = retrain(evaluated_pool(self.rng, 8), self.params, self.net_cfg, self.rng)
+        params2, acc = retrain(evaluated_pool(self.rng, 8), params, self.net_cfg, self.rng)
         assert params2.generation_id == 2
         assert acc is not None and 0.0 <= acc <= 1.0
 
     def test_one_pairing_equals_one_pdp_per_map(self):
         # Points 0-2 coincide, 3 and 4 differ by 1e-12 (one row under the
         # old network's wide map, two under the pool's fitted map) and F has
-        # ties.  maybe_retrain pairs the pool once and maps it twice; its
-        # accuracy entry and new network must equal those of one pdp per map.
+        # ties.  retrain pairs the pool once and maps it twice; its accuracy
+        # entry and new network must equal those of one pdp per map.
         X = self.rng.uniform(0, 1, (12, 2))
         X[1] = X[2] = X[0]
         X[3] = [0.5, 0.5]
@@ -110,9 +83,7 @@ class TestMaybeRetrain:
         old = RankNetParams.init(2, 2, 2, self.rng, generation_id=1, normalizer=wide)
         assert len(pdp(entries, wide).X) == 9 and len(pdp(entries, Normalizer.fit(X)).X) == 10
 
-        pool = SolutionPool(capacity_trigger=12)
-        pool.extend(entries)
-        params, acc = maybe_retrain(pool, old, self.net_cfg, np.random.default_rng(5))
+        params, acc = retrain(entries, old, self.net_cfg, np.random.default_rng(5))
 
         rng = np.random.default_rng(5)
         ref_acc = model_accuracy(old, pdp(entries, wide))
@@ -126,12 +97,73 @@ class TestMaybeRetrain:
             assert np.array_equal(getattr(params, k), getattr(ref, k))
 
     def test_new_generation_carries_a_map_fitted_to_its_pool(self):
-        pool = SolutionPool(capacity_trigger=8)
-        pool.extend([evaluated([0.4 + 0.01 * i, 0.7 - 0.02 * i], float(i)) for i in range(8)])
-        params, _ = maybe_retrain(pool, self.params, self.net_cfg, self.rng)
+        pool = [evaluated([0.4 + 0.01 * i, 0.7 - 0.02 * i], float(i)) for i in range(8)]
+        params, _ = retrain(pool, self.params, self.net_cfg, self.rng)
         assert self.params.normalizer is IDENTITY
         assert np.allclose(params.normalizer([0.4, 0.56]), [0.0, 0.0])
         assert np.allclose(params.normalizer([0.47, 0.7]), [1.0, 1.0])
+
+    def test_divergence_keeps_the_previous_network(self, monkeypatch):
+        pool = evaluated_pool(self.rng, 8)
+        old, _ = retrain(pool, self.params, self.net_cfg, self.rng)
+        monkeypatch.setattr(crf, "train", diverge)
+        params, acc = retrain(pool, old, self.net_cfg, self.rng)
+        assert params is old
+        assert acc is not None and acc == model_accuracy(old, pdp(pool, old.normalizer))
+
+
+def diverge(*args, **kwargs):
+    raise TrainingDivergenceError("non-finite training loss nan")
+
+
+def record_run(monkeypatch):
+    """Log each generation's offspring and, per training, the number of
+    generations before it and a copy of the pool it pairs."""
+    generations, trainings = [], []
+    nested_generation = crf.nested_generation
+
+    def logging_generation(*args):
+        P_u, offspring = nested_generation(*args)
+        generations.append(offspring)
+        return P_u, offspring
+
+    def logging_pdp(pool, normalizer):
+        trainings.append((len(generations), list(pool)))
+        return pdp(pool, normalizer)
+
+    monkeypatch.setattr(crf, "nested_generation", logging_generation)
+    monkeypatch.setattr(crf, "pdp", logging_pdp)
+    return generations, trainings
+
+
+class TestTrainingPools:
+    # a budget with several retrainings after the first
+    CFG = small_config(termination=TerminationRule(fes_u_max=300, fes_u_var_window=300))
+    N_U = CFG.upper.pop_size
+
+    def test_first_training_when_the_pool_reaches_the_trigger(self, monkeypatch):
+        generations, trainings = record_run(monkeypatch)
+        record = run_cr_blea(TOY, self.CFG, seed=0)
+        trigger = record.pool_trigger
+        assert record.trainings_done >= 3 and len(trainings) == record.trainings_done
+
+        # the first pool is the initial population and every warm-up offspring
+        n_warmup, first_pool = trainings[0]
+        warmup = [ind for offspring in generations[:n_warmup] for ind in offspring]
+        assert [id(ind) for ind in first_pool[self.N_U:]] == [id(ind) for ind in warmup]
+        sizes = np.cumsum([self.N_U] + [len(o) for o in generations[:n_warmup]])
+        assert sizes[-2] < trigger <= sizes[-1]
+        for _, pool in trainings:
+            assert trigger <= len(pool) < trigger + self.N_U
+
+    def test_diverging_runs_keep_emptying_the_pool(self, monkeypatch):
+        _, trainings = record_run(monkeypatch)
+        monkeypatch.setattr(crf, "train", diverge)
+        record = run_cr_blea(TOY, self.CFG, seed=0)
+        assert record.trainings_done == 0 and record.model_acc_history == []
+        assert len(trainings) >= 3
+        for _, pool in trainings:
+            assert record.pool_trigger <= len(pool) < record.pool_trigger + self.N_U
 
 
 class FixedScores:

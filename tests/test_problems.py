@@ -182,6 +182,24 @@ def test_make_smd_dimension_validation():
         make_smd(6, 2, 2)  # needs room for the s block
 
 
+@pytest.mark.parametrize("fields", [
+    dict(m=0),  # no upper variable
+    dict(lower_bounds=np.array([[-1.0, 1.0], [-1.0, 1.0]])),  # two rows for n = 1
+    dict(upper_bounds=np.array([[1.0, 1.0]])),  # low == high
+])
+def test_problem_spec_validation(fields):
+    spec = dict(name="bad", m=1, n=1,
+                upper_bounds=np.array([[-1.0, 1.0]]), lower_bounds=np.array([[-1.0, 1.0]]),
+                upper=None, lower=None, optimum=(0.0, 0.0))
+    with pytest.raises(ContractViolationError):
+        ProblemSpec(**{**spec, **fields})
+
+
+def test_make_toy_dimension_validation():
+    with pytest.raises(ContractViolationError):
+        make_toy(0, a=1.0, c=1.0)
+
+
 def test_toy_analytic_optimum():
     p = make_toy(2, a=(2.0, 2.0), c=(1.0, 1.0))
     x_u_star, x_l_star = p.optimum_point

@@ -299,7 +299,7 @@ def test_train_equals_adam_on_each_weight_array():
 
 def test_train_bits_pinned():
     # A 40-point pool with six duplicate points and F ties, set up as
-    # crframework.maybe_retrain sets up a training event; the sha1 of the
+    # crframework.retrain sets up a training event; the sha1 of the
     # loss curve and of the trained weights were captured before the loss
     # and the Adam update were rewritten to work in place.
     rng = np.random.default_rng(40)
@@ -356,6 +356,14 @@ def test_training_divergence_raises():
                      np.array([1.0, 0.0]))
     with pytest.raises(TrainingDivergenceError):
         train(fresh_params(), ds, epochs=5)
+
+
+def test_training_divergence_after_the_last_step_raises():
+    # one epoch: the loss before the step is finite, the step at this lr
+    # overflows the weights, and the final loss is not
+    ds = pdp(make_pool(range(6)), IDENTITY)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergenceError):
+        train(fresh_params(), ds, epochs=1, lr=1e300)
 
 
 def test_train_does_not_mutate_input_params():

@@ -12,7 +12,7 @@ from crblea import (
     resource_saving_rate,
     wilcoxon_ranksum,
 )
-from crblea.stats import BETTER, EQUIVALENT, WORSE, config_fingerprint
+from crblea.stats import BETTER, EQUIVALENT, WORSE, _ranksum_pvalue_normal, config_fingerprint
 from crblea.nested import TerminationRule
 
 
@@ -58,6 +58,14 @@ class TestWilcoxon:
     def test_overlapping_samples_equivalent(self):
         a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0]
         b = [1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5, 10.5, 0.5]
+        assert wilcoxon_ranksum(a, b) == EQUIVALENT
+
+    def test_significant_at_equal_medians_is_equivalent(self):
+        # a significant rank-sum difference names no better side when the
+        # medians are equal (both are 1 here)
+        a = [1, 0, 1, 1, 1, 0, 2, 0, 0, 0, 3]
+        b = [1, 1, 4, 2, 1, 3, 1, 1, 0, 3, 3]
+        assert _ranksum_pvalue_normal(a, b) == pytest.approx(0.0493, abs=1e-4)
         assert wilcoxon_ranksum(a, b) == EQUIVALENT
 
     def test_too_few_samples(self):
