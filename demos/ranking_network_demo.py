@@ -11,8 +11,8 @@ Run:  python3 demos/ranking_network_demo.py
 import numpy as np
 
 from crblea import (
-    EvalLedger,
     HarnessConfig,
+    NestedRun,
     NetConfig,
     Normalizer,
     RankNetParams,
@@ -22,10 +22,8 @@ from crblea import (
     pdp,
     pool_trigger_size,
     ranking_scores,
-    resolve_individual,
     train,
 )
-from crblea.nested import BestTracker, ResponseArchive, init_upper_population
 from crblea.ranknet import scale_init_to_batch
 
 SEED = 3
@@ -33,8 +31,8 @@ SEED = 3
 
 def main():
     p = get_problem("smd1")
-    cfg = HarnessConfig(problem="smd1", upper=UpperConfig(pop_size=20)).resolved(p)
-    rng = np.random.default_rng(SEED)
+    run = NestedRun(p, HarnessConfig(problem="smd1", upper=UpperConfig(pop_size=20)), SEED)
+    rng = run.rng  # the network draws its initial weights from the run's stream first
 
     net_cfg = NetConfig()
     q = net_cfg.width_for(p.m, p.n)
@@ -45,14 +43,10 @@ def main():
           f"({trigger}x{trigger - 1}={trigger * (trigger - 1)} ordered pairs)")
 
     print(f"\nevaluating {trigger} upper-level solutions (full lower searches)...")
-    ledger = EvalLedger()
-    tracker = BestTracker()
-    archive = ResponseArchive(p.upper_bounds)
-    pool = list(init_upper_population(p, cfg, ledger, tracker, rng, archive))
+    pool = list(run.start())
     while len(pool) < trigger:
-        x_u = rng.uniform(p.upper_bounds[:, 0], p.upper_bounds[:, 1])
-        pool.append(resolve_individual(p, x_u, cfg, ledger, rng, archive))
-    print(f"  cost: {ledger.fes_u} upper + {ledger.fes_l} lower FEs")
+        pool.append(run.resolve(rng.uniform(p.upper_bounds[:, 0], p.upper_bounds[:, 1])))
+    print(f"  cost: {run.ledger.fes_u} upper + {run.ledger.fes_l} lower FEs")
 
     normalizer = Normalizer(p.upper_bounds)
     dataset = pdp(pool, normalizer)

@@ -16,11 +16,11 @@ from .errors import (
 )
 from .ledger import EvalLedger
 from .nested import (
+    NestedRun,
     TerminationRule,
     UpperIndividual,
     environmental_selection,
     lower_level_search,
-    resolve_individual,
     run_nested_blea,
 )
 from .optimizers import LowerConfig, UpperConfig, init_search, step
@@ -50,7 +50,6 @@ from .stats import (
     RunRecord,
     accuracy,
     aggregate,
-    build_run_record,
     resource_saving_rate,
     wilcoxon_ranksum,
 )
@@ -63,14 +62,14 @@ __all__ = [
     "CrbleaError", "ContractViolationError", "ConfigurationError",
     "EvaluationError", "TrainingDivergenceError",
     "EvalLedger",
-    "TerminationRule", "UpperIndividual", "environmental_selection",
-    "lower_level_search", "resolve_individual", "run_nested_blea",
+    "NestedRun", "TerminationRule", "UpperIndividual", "environmental_selection",
+    "lower_level_search", "run_nested_blea",
     "UpperConfig", "LowerConfig", "init_search", "step",
     "ProblemSpec", "evaluate_upper", "evaluate_lower", "get_problem",
     "make_smd", "make_toy", "problem_names",
     "NetConfig", "Normalizer", "PairDataset", "RankNetParams",
     "model_accuracy", "pair_forward", "pdp", "pool_trigger_size",
     "ranking_score", "ranking_scores", "train",
-    "RunRecord", "accuracy", "aggregate", "build_run_record",
+    "RunRecord", "accuracy", "aggregate",
     "resource_saving_rate", "wilcoxon_ranksum",
 ]

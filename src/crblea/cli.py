@@ -28,8 +28,8 @@ from .crframework import run_cr_blea
 from .errors import ConfigurationError, CrbleaError
 from .nested import run_nested_blea
 from .problems import get_problem, problem_names
-from .stats import (AGGREGATE_FIELDS, RunRecord, accuracy, aggregate, resource_saving_rate,
-                    wilcoxon_ranksum)
+from .stats import (AGGREGATE_FIELDS, RunRecord, accuracy, aggregate, config_fingerprint,
+                    resource_saving_rate, wilcoxon_ranksum)
 
 
 def run_single(cfg: HarnessConfig, seed: int) -> RunRecord:
@@ -95,10 +95,6 @@ def cmd_run(cfg: HarnessConfig, jobs=1, out_dir=None):
 
 def compare_records(base_records, variant_records):
     """One table row from two homogeneous record groups on the same problem."""
-    if base_records[0].problem != variant_records[0].problem:
-        raise ConfigurationError("compare: configs target different problems")
-    if base_records[0].config_fingerprint != variant_records[0].config_fingerprint:
-        raise ConfigurationError("compare: records carry mismatched problem fingerprints")
     base = aggregate(base_records)
     variant = aggregate(variant_records)
     row = {
@@ -135,6 +131,9 @@ def cmd_compare(cfg_base: HarnessConfig, cfg_variant: HarnessConfig, jobs=1, out
         raise ConfigurationError("compare: both configs must target the same problem")
     if cfg_base.runs != cfg_variant.runs:
         raise ConfigurationError("compare: both configs must use the same number of runs")
+    if (config_fingerprint(cfg_base.problem, cfg_base.termination)
+            != config_fingerprint(cfg_variant.problem, cfg_variant.termination)):
+        raise ConfigurationError("compare: both configs must use the same termination settings")
     out_dir = out_dir or cfg_base.output_dir
     base_records = cmd_run(cfg_base, jobs=jobs, out_dir=out_dir)
     variant_records = cmd_run(cfg_variant, jobs=jobs, out_dir=out_dir)
@@ -191,15 +190,11 @@ def _load_config(path, overrides):
 
 
 def _apply_overrides(cfg, args):
-    changes = {}
-    if args.seed is not None:
-        changes["base_seed"] = args.seed
-    if args.runs is not None:
-        changes["runs"] = args.runs
-    if args.mode is not None:
-        changes["mode"] = args.mode
-    if args.out is not None:
-        changes["output_dir"] = args.out
+    """``cfg`` with the flags given on the command line; a verb that does not
+    register a flag leaves its field alone."""
+    flags = {"seed": "base_seed", "runs": "runs", "mode": "mode", "out": "output_dir"}
+    changes = {key: getattr(args, flag) for flag, key in flags.items()
+               if getattr(args, flag, None) is not None}
     return dataclasses.replace(cfg, **changes).validate() if changes else cfg
 
 
@@ -210,19 +205,23 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--out", default=None, help="output directory")
+        sp.add_argument("--jobs", type=int, default=1, help="parallel runs")
+
+    def seeds(sp):
         sp.add_argument("--seed", type=int, default=None, help="override base seed")
         sp.add_argument("--runs", type=int, default=None, help="override run count")
-        sp.add_argument("--mode", choices=MODES, default=None, help="override mode")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel runs")
 
     sp = sub.add_parser("run", help="execute seeded runs of one config")
     sp.add_argument("--config", required=True)
     common(sp)
+    seeds(sp)
+    sp.add_argument("--mode", choices=MODES, default=None, help="override mode")
 
     sp = sub.add_parser("compare", help="baseline-vs-variant table row")
     sp.add_argument("--config", required=True, help="base config path")
     sp.add_argument("--variant-config", required=True)
     common(sp)
+    seeds(sp)
 
     sp = sub.add_parser("suite", help="run all pair configs in a directory")
     sp.add_argument("--config", required=True, help="directory of pair configs")
@@ -250,8 +249,7 @@ def main(argv=None):
         if args.command == "compare":
             cfg_base = _load_config(args.config, args)
             cfg_variant = _load_config(args.variant_config, args)
-            row = cmd_compare(cfg_base, cfg_variant, jobs=args.jobs,
-                              out_dir=args.out or cfg_base.output_dir)
+            row = cmd_compare(cfg_base, cfg_variant, jobs=args.jobs)
             print(json.dumps(row, indent=1))
             return 0
         if args.command == "suite":

@@ -17,16 +17,8 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError, TrainingDivergenceError
-from .ledger import EvalLedger
-from .nested import (
-    BestTracker,
-    ResponseArchive,
-    confirmed_stop_reason,
-    environmental_selection,  # not called here; bench/tracer.py wraps this name
-    init_upper_population,
-    nested_generation,
-    upper_variation,
-)
+# bench/tracer.py wraps both names here, so they stay importable from this module
+from .nested import NestedRun, environmental_selection, upper_variation  # noqa: F401
 from .ranknet import (
     Normalizer,
     RankNetParams,
@@ -106,71 +98,52 @@ def run_cr_blea(p, cfg, seed):
     "cr_no_net" replaces ranking with a uniformly random task choice and
     "cr_no_resample" disables the resampling step.
     """
-    from .stats import build_run_record
-
-    cfg = cfg.resolved(p)
+    run = NestedRun(p, cfg, seed)
+    cfg = run.cfg
     if cfg.mode not in CR_MODES:
         raise ContractViolationError(f"run_cr_blea called with mode {cfg.mode!r}")
-    rng = np.random.default_rng(seed)
-    net_rng = np.random.default_rng(rng.integers(2**63))
-    ledger = EvalLedger()
-    tracker = BestTracker()
-    archive = ResponseArchive(p.upper_bounds)
+    net_rng = np.random.default_rng(run.rng.integers(2**63))
 
     q = cfg.net.width_for(p.m, p.n)
     params = RankNetParams.init(p.m, p.n, q, net_rng, psi_relu=cfg.net.psi_relu,
                                 normalizer=Normalizer(p.upper_bounds))
     trigger = pool_trigger_size(params)
 
-    P_u = init_upper_population(p, cfg, ledger, tracker, rng, archive)
+    pool = list(run.start())
     N_u = cfg.upper.pop_size
-    pool = list(P_u)
-    ledger.checkpoint(tracker.best.F)
-
     model_acc_history = []
     resamplings = 0
 
-    def stop():
-        return confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive)
-
-    def variation():
-        return upper_variation(P_u, cfg.upper, p.upper_bounds, rng)
-
     # warm-up: the nested baseline's generations, pooling every evaluated offspring
-    while not (stop_reason := stop()) and len(pool) < trigger:
-        P_u, offspring = nested_generation(p, P_u, variation(), cfg, ledger, tracker, rng,
-                                           archive)
-        pool.extend(offspring)
+    while not (stop_reason := run.stop_reason()) and len(pool) < trigger:
+        pool.extend(run.generation(run.variation()))
 
     # allocated: only the chosen half of each generation's offspring is resolved
     while not stop_reason:
         if cfg.mode == "cr_no_net":
-            candidates = variation()
-            chosen = rng.choice(len(candidates), size=math.ceil(N_u / 2), replace=False)
-            P_u, _ = nested_generation(p, P_u, [candidates[i] for i in chosen], cfg, ledger,
-                                       tracker, rng, archive)
+            candidates = run.variation()
+            chosen = run.rng.choice(len(candidates), size=math.ceil(N_u / 2), replace=False)
+            run.generation([candidates[i] for i in chosen])
         else:
             if len(pool) >= trigger:
                 params, acc = retrain(pool, params, cfg.net, net_rng)
                 pool = []
                 if acc is not None:
                     model_acc_history.append(acc)
-                _refresh_scores(params, P_u)
+                _refresh_scores(params, run.P_u)
             selected, resampled = pgr(
-                params, P_u, variation, N_u,
+                params, run.P_u, run.variation, N_u,
                 allow_resample=(cfg.mode != "cr_no_resample"),
             )
             resamplings += int(resampled)
-            P_u, evaluated = nested_generation(p, P_u, [x_u for x_u, _ in selected], cfg,
-                                               ledger, tracker, rng, archive)
+            evaluated = run.generation([x_u for x_u, _ in selected])
             for ind, (_, score) in zip(evaluated, selected):
                 ind.rank_score = score
             pool.extend(evaluated)
-        stop_reason = stop()
+        stop_reason = run.stop_reason()
 
-    return build_run_record(
-        p, cfg, seed, ledger, tracker,
-        stop_reason=stop_reason,
+    return run.record(
+        seed, stop_reason,
         model_acc_history=model_acc_history,
         trainings_done=params.generation_id,  # each successful training adds one
         resamplings=resamplings,

@@ -9,7 +9,7 @@ class EvalLedger:
 
     ``trace`` holds convergence checkpoints ``(fes_t, best_F)`` appended by the
     driving loop (one per upper generation, and one after the re-solves of
-    ``nested.confirm_elite``).  ``fes_t`` is always
+    ``NestedRun.confirm_elite``).  ``fes_t`` is always
     ``fes_u + fes_l`` at checkpoint time.
     """
 

@@ -15,6 +15,7 @@ from .errors import ConfigurationError, ContractViolationError
 from .ledger import EvalLedger
 from .optimizers import LowerConfig, UpperConfig, _ff_key, de_trial, init_search, step
 from .problems import ProblemSpec, evaluate_lower, evaluate_upper
+from .stats import RunRecord, accuracy, config_fingerprint
 
 
 @dataclass
@@ -140,50 +141,6 @@ class ResponseArchive:
         return np.array([self.members[i].x_l_star for i in order])
 
 
-def _solve(p: ProblemSpec, ind, cfg, ledger, rng, archive):
-    """Run the lower-level search for ``ind.x_u`` and evaluate the upper
-    level, filling ``ind`` in place.
-
-    The search starts from the responses of the nearest upper points in
-    ``archive`` (a cold start while it is empty).  Nearby upper points have
-    nearby responses, so a warm-started task refines a response instead of
-    searching the whole lower box again (the lower-level mapping idea of
-    BLEAQ).
-    """
-    start = archive.nearest(ind.x_u, cfg.lower.pop_size)
-    ind.x_l_star, ind.f_star = lower_level_search(p, ind.x_u, cfg.lower, cfg.termination, ledger,
-                                                  rng=rng, start=start)
-    ind.F, G, feasible = evaluate_upper(p, ind.x_u, ind.x_l_star, ledger)
-    ind.violation = 0.0 if feasible else _violation(G)
-    return ind
-
-
-def resolve_individual(p: ProblemSpec, x_u, cfg, ledger, rng, archive) -> UpperIndividual:
-    """Resolve a new individual at ``x_u`` (see ``_solve``); it joins the
-    archive."""
-    ind = _solve(p, UpperIndividual(x_u=np.asarray(x_u, dtype=float)), cfg, ledger, rng, archive)
-    archive.add(ind)
-    return ind
-
-
-def resolve_all(p: ProblemSpec, xs, cfg, ledger, tracker, rng, archive):
-    """Resolve the upper points ``xs`` in order until they run out or the
-    upper FE budget is spent, and return the resolved individuals.
-
-    ``xs`` may be lazy: a point is taken from it only while the budget lasts.
-    """
-    xs = iter(xs)
-    out = []
-    while ledger.fes_u < cfg.termination.fes_u_max:
-        x_u = next(xs, None)
-        if x_u is None:
-            break
-        ind = resolve_individual(p, x_u, cfg, ledger, rng, archive)
-        tracker.observe(ind)
-        out.append(ind)
-    return out
-
-
 def environmental_selection(pool, n_keep):
     """Keep the ``n_keep`` best individuals, feasibility-first, stable ties."""
     if len(pool) < n_keep:
@@ -213,58 +170,6 @@ def check_upper_termination(ledger: EvalLedger, best_history, rule: TerminationR
     return None
 
 
-class BestTracker:
-    """Feasibility-first best individual plus the per-upper-FE elitist trace."""
-
-    def __init__(self):
-        self.best = None
-        self.history = []  # elitist F after each upper FE
-
-    def observe(self, ind: UpperIndividual):
-        if self.best is None or _ff_key(ind.F, ind.violation) < _ff_key(self.best.F, self.best.violation):
-            self.best = ind
-        self.history.append(self.best.F)
-
-    def reselect(self, P_u):
-        """Re-pick the best from the population after an in-place correction
-        and record it for the upper FE that the correction cost."""
-        self.best = min(P_u, key=lambda ind: _ff_key(ind.F, ind.violation))
-        self.history.append(self.best.F)
-
-
-def confirm_elite(p, P_u, cfg, ledger, tracker, rng, archive):
-    """Re-solve the lower level of the best individual until the best holds.
-
-    An upper point whose lower task stopped short of the response can carry
-    a spuriously good F that no later point beats, so the upper stagnation
-    window fires on it.  Before the run may stop on stagnation, the best
-    individual's task is run once more, started from its own response and
-    its neighbours' in ``archive``; a better response replaces the old one
-    and the upper level is evaluated again.  Each individual is re-solved at
-    most once, and every evaluation is counted by the ledger, which records
-    a convergence checkpoint after the re-solves.
-    """
-    fes_t = ledger.fes_t
-    while not tracker.best.confirmed and ledger.fes_u < cfg.termination.fes_u_max:
-        _solve(p, tracker.best, cfg, ledger, rng, archive).confirmed = True
-        tracker.reselect(P_u)
-    if ledger.fes_t != fes_t:
-        ledger.checkpoint(tracker.best.F)
-
-
-def confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive):
-    """``check_upper_termination`` for a run in progress; a stagnation stop
-    stands only once ``confirm_elite`` has held the best individual."""
-    def reason():
-        return check_upper_termination(ledger, tracker.history, cfg.termination,
-                                       p.optimum, tracker.best.violation == 0)
-
-    if reason() != "stagnation":
-        return reason()
-    confirm_elite(p, P_u, cfg, ledger, tracker, rng, archive)
-    return reason()
-
-
 def upper_variation(P_u, cfg: UpperConfig, bounds, rng):
     """One rand/1/bin offspring x_u vector per parent.
 
@@ -275,40 +180,164 @@ def upper_variation(P_u, cfg: UpperConfig, bounds, rng):
     return [de_trial(X, i, cfg, low, high, rng) for i in range(len(P_u))]
 
 
-def init_upper_population(p, cfg, ledger, tracker, rng, archive):
-    """Sample and resolve the initial upper population (budget-guarded)."""
-    low, high = p.upper_bounds[:, 0], p.upper_bounds[:, 1]
-    xs = (rng.uniform(low, high) for _ in range(cfg.upper.pop_size))
-    return resolve_all(p, xs, cfg, ledger, tracker, rng, archive)
+class NestedRun:
+    """The state of one seeded run of the nested BLEA, and its steps.
 
-
-def nested_generation(p, P_u, xs, cfg, ledger, tracker, rng, archive):
-    """One generation on the offspring points ``xs``: resolve them while the
-    budget lasts, keep the ``pop_size`` best of parents and offspring, and
-    record a convergence checkpoint.  Returns ``(survivors, offspring)``.
+    It holds the problem ``p``, the resolved ``cfg``, the run's ``rng``, its
+    ``ledger`` and ``archive``, the upper population ``P_u``, the
+    feasibility-first ``best`` individual resolved so far and ``history``,
+    the elitist F after each upper FE.  ``run_nested_blea`` and
+    ``run_cr_blea`` drive a run only through its methods; they differ in
+    which offspring points they hand to ``generation``.
     """
-    offspring = resolve_all(p, xs, cfg, ledger, tracker, rng, archive)
-    if offspring:
-        P_u = environmental_selection(P_u + offspring, cfg.upper.pop_size)
-    ledger.checkpoint(tracker.best.F)
-    return P_u, offspring
+
+    def __init__(self, p: ProblemSpec, cfg, seed):
+        self.p = p
+        self.cfg = cfg.resolved(p)
+        self.rng = np.random.default_rng(seed)
+        self.ledger = EvalLedger()
+        self.archive = ResponseArchive(p.upper_bounds)
+        self.P_u = []
+        self.best = None
+        self.history = []
+
+    def _solve(self, ind):
+        """Run the lower-level search for ``ind.x_u`` and evaluate the upper
+        level, filling ``ind`` in place.
+
+        The search starts from the responses of the nearest upper points in
+        the archive (a cold start while it is empty).  Nearby upper points
+        have nearby responses, so a warm-started task refines a response
+        instead of searching the whole lower box again (the lower-level
+        mapping idea of BLEAQ).
+        """
+        cfg = self.cfg
+        start = self.archive.nearest(ind.x_u, cfg.lower.pop_size)
+        ind.x_l_star, ind.f_star = lower_level_search(self.p, ind.x_u, cfg.lower, cfg.termination,
+                                                      self.ledger, rng=self.rng, start=start)
+        ind.F, G, feasible = evaluate_upper(self.p, ind.x_u, ind.x_l_star, self.ledger)
+        ind.violation = 0.0 if feasible else _violation(G)
+        return ind
+
+    def resolve(self, x_u) -> UpperIndividual:
+        """Resolve a new individual at ``x_u``; it joins the archive and may
+        become the best."""
+        ind = self._solve(UpperIndividual(x_u=np.asarray(x_u, dtype=float)))
+        self.archive.add(ind)
+        if self.best is None or _ff_key(ind.F, ind.violation) < _ff_key(self.best.F, self.best.violation):
+            self.best = ind
+        self.history.append(self.best.F)
+        return ind
+
+    def resolve_all(self, xs):
+        """Resolve the upper points ``xs`` in order until they run out or the
+        upper FE budget is spent, and return the resolved individuals.
+
+        ``xs`` may be lazy: a point is taken from it only while the budget lasts.
+        """
+        xs = iter(xs)
+        out = []
+        while self.ledger.fes_u < self.cfg.termination.fes_u_max:
+            x_u = next(xs, None)
+            if x_u is None:
+                break
+            out.append(self.resolve(x_u))
+        return out
+
+    def start(self):
+        """Sample and resolve the initial upper population (budget-guarded),
+        record the first convergence checkpoint and return the population."""
+        low, high = self.p.upper_bounds[:, 0], self.p.upper_bounds[:, 1]
+        xs = (self.rng.uniform(low, high) for _ in range(self.cfg.upper.pop_size))
+        self.P_u = self.resolve_all(xs)
+        self.ledger.checkpoint(self.best.F)
+        return self.P_u
+
+    def variation(self):
+        """One rand/1/bin offspring point per member of ``P_u``."""
+        return upper_variation(self.P_u, self.cfg.upper, self.p.upper_bounds, self.rng)
+
+    def generation(self, xs):
+        """One generation on the offspring points ``xs``: resolve them while
+        the budget lasts, keep the ``pop_size`` best of parents and offspring,
+        and record a convergence checkpoint.  Returns the resolved offspring.
+        """
+        offspring = self.resolve_all(xs)
+        if offspring:
+            self.P_u = environmental_selection(self.P_u + offspring, self.cfg.upper.pop_size)
+        self.ledger.checkpoint(self.best.F)
+        return offspring
+
+    def confirm_elite(self):
+        """Re-solve the lower level of the best individual until the best holds.
+
+        An upper point whose lower task stopped short of the response can
+        carry a spuriously good F that no later point beats, so the upper
+        stagnation window fires on it.  Before the run may stop on
+        stagnation, the best individual's task is run once more, started from
+        its own response and its neighbours' in the archive; a better
+        response replaces the old one and the upper level is evaluated again.
+        Each individual is re-solved at most once, and every evaluation is
+        counted by the ledger, which records a convergence checkpoint after
+        the re-solves.  The best is re-picked from ``P_u`` after each
+        re-solve and recorded for the upper FE it cost.
+        """
+        fes_t = self.ledger.fes_t
+        while not self.best.confirmed and self.ledger.fes_u < self.cfg.termination.fes_u_max:
+            self._solve(self.best).confirmed = True
+            self.best = min(self.P_u, key=lambda ind: _ff_key(ind.F, ind.violation))
+            self.history.append(self.best.F)
+        if self.ledger.fes_t != fes_t:
+            self.ledger.checkpoint(self.best.F)
+
+    def _termination(self):
+        return check_upper_termination(self.ledger, self.history, self.cfg.termination,
+                                       self.p.optimum, self.best.violation == 0)
+
+    def stop_reason(self):
+        """``check_upper_termination`` for the run so far; a stagnation stop
+        stands only once ``confirm_elite`` has held the best individual."""
+        reason = self._termination()
+        if reason == "stagnation":
+            self.confirm_elite()
+            reason = self._termination()
+        return reason
+
+    def record(self, seed, stop_reason, model_acc_history=(), trainings_done=0,
+               resamplings=0, pool_trigger=0) -> RunRecord:
+        """The RunRecord of the finished run; the keyword fields are the CR
+        loop's."""
+        best = self.best.require_evaluated()
+        cfg, ledger = self.cfg, self.ledger
+        F_r, f_r = self.p.optimum
+        return RunRecord(
+            problem=self.p.name,
+            mode=cfg.mode,
+            seed=int(seed),
+            acc_u=accuracy(best.F, F_r),
+            acc_l=accuracy(best.f_star, f_r),
+            fes_u=ledger.fes_u,
+            fes_l=ledger.fes_l,
+            fes_t=ledger.fes_t,
+            trace=list(ledger.trace),
+            model_acc_history=list(model_acc_history),
+            trainings_done=trainings_done,
+            config_fingerprint=config_fingerprint(self.p.name, cfg.termination),
+            best_F=best.F,
+            best_f=best.f_star,
+            stop_reason=stop_reason or "",
+            pop_size_upper=cfg.upper.pop_size,
+            pop_size_lower=cfg.lower.pop_size,
+            pop_formula=cfg.pop_formula,
+            resamplings=resamplings,
+            pool_trigger=pool_trigger,
+        )
 
 
 def run_nested_blea(p: ProblemSpec, cfg, seed):
     """Run the baseline nested BLEA and return a RunRecord."""
-    from .stats import build_run_record  # late import: stats depends on nothing here
-
-    cfg = cfg.resolved(p)
-    rng = np.random.default_rng(seed)
-    ledger = EvalLedger()
-    tracker = BestTracker()
-    archive = ResponseArchive(p.upper_bounds)
-
-    P_u = init_upper_population(p, cfg, ledger, tracker, rng, archive)
-    ledger.checkpoint(tracker.best.F)
-
-    while not (stop_reason := confirmed_stop_reason(p, P_u, cfg, ledger, tracker, rng, archive)):
-        offspring_x = upper_variation(P_u, cfg.upper, p.upper_bounds, rng)
-        P_u, _ = nested_generation(p, P_u, offspring_x, cfg, ledger, tracker, rng, archive)
-
-    return build_run_record(p, cfg, seed, ledger, tracker, stop_reason=stop_reason)
+    run = NestedRun(p, cfg, seed)
+    run.start()
+    while not (stop_reason := run.stop_reason()):
+        run.generation(run.variation())
+    return run.record(seed, stop_reason)

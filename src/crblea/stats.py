@@ -3,7 +3,7 @@
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .errors import ContractViolationError
@@ -160,39 +160,10 @@ def aggregate(records):
 def config_fingerprint(problem_name, termination):
     """Hash of the problem identity and termination settings.
 
-    Comparisons refuse to mix records whose fingerprints differ.
+    ``crblea compare`` refuses two configs whose fingerprints differ.
     """
     import hashlib  # off the import path of a run
 
     payload = {"problem": problem_name, "termination": asdict(termination)}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
-
-def build_run_record(p, cfg, seed, ledger, tracker, stop_reason=None,
-                     model_acc_history=(), trainings_done=0, resamplings=0,
-                     pool_trigger=0):
-    """Assemble the RunRecord for a finished run."""
-    best = tracker.best.require_evaluated()
-    F_r, f_r = p.optimum
-    return RunRecord(
-        problem=p.name,
-        mode=cfg.mode,
-        seed=int(seed),
-        acc_u=accuracy(best.F, F_r),
-        acc_l=accuracy(best.f_star, f_r),
-        fes_u=ledger.fes_u,
-        fes_l=ledger.fes_l,
-        fes_t=ledger.fes_t,
-        trace=list(ledger.trace),
-        model_acc_history=list(model_acc_history),
-        trainings_done=trainings_done,
-        config_fingerprint=config_fingerprint(p.name, cfg.termination),
-        best_F=best.F,
-        best_f=best.f_star,
-        stop_reason=stop_reason or "",
-        pop_size_upper=cfg.upper.pop_size,
-        pop_size_lower=cfg.lower.pop_size,
-        pop_formula=cfg.pop_formula,
-        resamplings=resamplings,
-        pool_trigger=pool_trigger,
-    )

@@ -93,6 +93,36 @@ def test_run_overrides(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("suite", ["--runs", "1"]),
+    ("suite", ["--seed", "7"]),
+    ("suite", ["--mode", "cr_no_net"]),
+    ("compare", ["--mode", "cr"]),
+])
+def test_flags_a_verb_does_not_honour_are_rejected(tmp_path, capsys, command, flags):
+    cfg_path = write_config(tmp_path, "cfg.json", base_config())
+    config = [str(tmp_path)] if command == "suite" else [cfg_path, "--variant-config", cfg_path]
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", *config, "--out", str(out_dir), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_compare_overrides_seed_and_runs_on_both_sides(tmp_path):
+    base = write_config(tmp_path, "base.json", base_config("nested"))
+    variant = write_config(tmp_path, "variant.json", base_config("cr"))
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", "--config", base, "--variant-config", variant,
+                 "--out", str(out_dir), "--runs", "2", "--seed", "5"]) == 0
+    assert sorted(f for f in os.listdir(out_dir) if "_seed" in f and f.endswith(".json")) == [
+        "tq_cr_seed5.json", "tq_cr_seed6.json", "tq_nested_seed5.json", "tq_nested_seed6.json",
+    ]
+    with open(out_dir / "compare_tq_nested_vs_cr.json") as fh:
+        assert json.load(fh)["runs"] == 2
+
+
 def test_compare_emits_table_row(tmp_path, capsys):
     base = write_config(tmp_path, "base.json", base_config("nested"))
     variant = write_config(tmp_path, "variant.json", base_config("cr"))
@@ -167,6 +197,17 @@ def test_compare_rejects_unequal_runs(tmp_path, capsys):
     assert main(["compare", "--config", base, "--variant-config", variant,
                  "--out", str(out_dir)]) == 2
     assert "same number of runs" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_compare_rejects_unequal_termination_before_running(tmp_path, capsys):
+    base = write_config(tmp_path, "base.json", base_config("nested"))
+    variant = write_config(tmp_path, "variant.json", base_config(
+        "cr", termination=dict(FAST_TERMINATION, fes_u_max=50)))
+    out_dir = tmp_path / "x"
+    assert main(["compare", "--config", base, "--variant-config", variant,
+                 "--out", str(out_dir)]) == 2
+    assert "same termination settings" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -42,6 +42,12 @@ def test_resolved_records_overrides():
     assert "override(20)" in cfg.pop_formula
 
 
+def test_resolved_records_a_lower_override():
+    cfg = HarnessConfig(lower=LowerConfig(pop_size=8)).resolved(get_problem("smd1"))
+    assert (cfg.upper.pop_size, cfg.lower.pop_size) == (5, 8)
+    assert cfg.pop_formula == "upper=4+floor(ln(m+n)); lower=override(8)"
+
+
 @pytest.mark.parametrize("data", [{"lower": {"cma_sigma0": 0.2}}, {"upper": {"de_scale": 0.6}}])
 def test_omitted_fields_take_the_harness_defaults(data):
     cfg = harness_config_from_dict(data).resolved(get_problem("smd1"))

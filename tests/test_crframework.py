@@ -120,18 +120,18 @@ def record_run(monkeypatch):
     """Log each generation's offspring and, per training, the number of
     generations before it and a copy of the pool it pairs."""
     generations, trainings = [], []
-    nested_generation = crf.nested_generation
+    generation = crf.NestedRun.generation
 
-    def logging_generation(*args):
-        P_u, offspring = nested_generation(*args)
+    def logging_generation(run, xs):
+        offspring = generation(run, xs)
         generations.append(offspring)
-        return P_u, offspring
+        return offspring
 
     def logging_pdp(pool, normalizer):
         trainings.append((len(generations), list(pool)))
         return pdp(pool, normalizer)
 
-    monkeypatch.setattr(crf, "nested_generation", logging_generation)
+    monkeypatch.setattr(crf.NestedRun, "generation", logging_generation)
     monkeypatch.setattr(crf, "pdp", logging_pdp)
     return generations, trainings
 

@@ -11,16 +11,16 @@ from crblea import (
     EvalLedger,
     HarnessConfig,
     LowerConfig,
+    NestedRun,
     TerminationRule,
     UpperConfig,
     UpperIndividual,
     environmental_selection,
     lower_level_search,
-    resolve_individual,
     run_nested_blea,
 )
 from crblea.cli import run_single
-from crblea.nested import BestTracker, check_upper_termination, upper_variation
+from crblea.nested import check_upper_termination, upper_variation
 from crblea.problems import get_problem
 
 TOY = get_problem("tq")  # lower optimum at x_l = x_u + c with c = (-2, -2)
@@ -157,12 +157,14 @@ class TestUpperTermination:
             EvalLedger(), [1e-8], rule, known_opt=(0.0, 0.0), best_feasible=False) is None
 
 
-def test_best_tracker_elitist_history():
-    tracker = BestTracker()
-    for F in (5.0, 7.0, 2.0, 3.0):
-        tracker.observe(make_ind(F))
-    assert tracker.history == [5.0, 5.0, 2.0, 2.0]
-    assert tracker.best.F == 2.0
+def test_resolve_keeps_the_elitist_history(monkeypatch):
+    run = NestedRun(TOY, small_config(), seed=0)
+    Fs = iter((5.0, 7.0, 2.0, 3.0))
+    monkeypatch.setattr(nested, "evaluate_upper", lambda *args: (next(Fs), np.empty(0), True))
+    for _ in range(4):
+        run.resolve(np.zeros(2))
+    assert run.history == [5.0, 5.0, 2.0, 2.0]
+    assert run.best.F == 2.0
 
 
 def test_upper_variation_count_and_bounds():
@@ -203,12 +205,10 @@ class TestFullRun:
         assert record.pop_size_lower == 5  # 4 + floor(ln(3))
         assert "4+floor(ln(m+n))" in record.pop_formula
 
-    def test_resolve_individual_counts_one_upper_fe(self):
-        ledger = EvalLedger()
-        cfg = small_config().resolved(TOY)
-        ind = resolve_individual(TOY, np.zeros(2), cfg, ledger, np.random.default_rng(0),
-                                 nested.ResponseArchive(TOY.upper_bounds))
-        assert ledger.fes_u == 1
+    def test_resolve_counts_one_upper_fe(self):
+        run = NestedRun(TOY, small_config(), seed=0)
+        ind = run.resolve(np.zeros(2))
+        assert run.ledger.fes_u == 1
         assert ind.F is not None and ind.x_l_star is not None
 
 
@@ -282,16 +282,16 @@ class TestWarmStart:
             return out
 
         confirmations = []
-        confirm = nested.confirm_elite
+        confirm = NestedRun.confirm_elite
 
-        def counted_confirm(*args):
+        def counted_confirm(run):
             confirmations.append(1)
-            return confirm(*args)
+            return confirm(run)
 
         monkeypatch.setattr(nested, "evaluate_lower", counted_lower)
         monkeypatch.setattr(nested, "evaluate_upper", counted_upper)
         monkeypatch.setattr(nested, "lower_level_search", task)
-        monkeypatch.setattr(nested, "confirm_elite", counted_confirm)
+        monkeypatch.setattr(NestedRun, "confirm_elite", counted_confirm)
         rule = TerminationRule(fes_u_max=400, fes_u_var_window=40, fes_l_max=60)
         cfg = HarnessConfig(problem="smd5", mode=mode, upper=UpperConfig(pop_size=10),
                             termination=rule)
@@ -365,30 +365,25 @@ def test_confirm_elite_corrects_an_unresolved_best():
     # SMD2's F rewards lower residuals (-|x_l1|^2), so a response left far
     # from x_l1 = 0 makes a spuriously good elite.
     p = get_problem("smd2")
-    cfg = HarnessConfig(problem="smd2").resolved(p)
-    ledger = EvalLedger()
-    rng = np.random.default_rng(0)
-    archive = nested.ResponseArchive(p.upper_bounds)
-    tracker = BestTracker()
-    P_u = [resolve_individual(p, x_u, cfg, ledger, rng, archive)
-           for x_u in ([0.5, 0.5], [0.4, 0.6], [-0.3, 0.2])]
+    run = NestedRun(p, HarnessConfig(problem="smd2"), seed=0)
+    cfg, ledger = run.cfg, run.ledger
+    P_u = run.P_u = [run.resolve(x_u) for x_u in ([0.5, 0.5], [0.4, 0.6], [-0.3, 0.2])]
     bad = P_u[0]
     bad.x_l_star = np.array([3.0, -3.0, bad.x_l_star[2]])
     bad.F = evaluate_upper(p, bad.x_u, bad.x_l_star, ledger)[0]
-    for ind in P_u:
-        tracker.observe(ind)
-    assert tracker.best is bad
+    run.best = min(P_u, key=lambda ind: ind.F)  # every member is feasible
+    assert run.best is bad
     fes_u, fes_l, spurious_F = ledger.fes_u, ledger.fes_l, bad.F
 
-    nested.confirm_elite(p, P_u, cfg, ledger, tracker, rng, archive)
+    run.confirm_elite()
     assert bad.confirmed and bad.F > spurious_F + 1.0
     assert np.abs(bad.x_l_star[:2]).max() < 0.1
-    assert tracker.best is min(P_u, key=lambda ind: ind.F) and tracker.best.confirmed
+    assert run.best is min(P_u, key=lambda ind: ind.F) and run.best.confirmed
     spent_u = ledger.fes_u - fes_u
     assert ledger.fes_l - fes_l <= spent_u * cfg.termination.fes_l_max
-    assert len(tracker.history) == len(P_u) + spent_u
-    assert ledger.trace == [(ledger.fes_t, tracker.best.F)]
+    assert len(run.history) == len(P_u) + spent_u
+    assert ledger.trace == [(ledger.fes_t, run.best.F)]
 
     before = (ledger.fes_u, ledger.fes_l, len(ledger.trace))
-    nested.confirm_elite(p, P_u, cfg, ledger, tracker, rng, archive)
+    run.confirm_elite()
     assert (ledger.fes_u, ledger.fes_l, len(ledger.trace)) == before  # a confirmed best is not re-solved

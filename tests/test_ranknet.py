@@ -354,7 +354,7 @@ def test_training_empty_dataset():
 def test_training_divergence_raises():
     ds = PairDataset(np.array([[np.inf, np.inf], [0.0, 0.0]]), np.array([0, 1]), np.array([1, 0]),
                      np.array([1.0, 0.0]))
-    with pytest.raises(TrainingDivergenceError):
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergenceError):
         train(fresh_params(), ds, epochs=5)
 
 
