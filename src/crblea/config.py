@@ -1,16 +1,18 @@
 """Experiment configuration: schema, defaults, and validated loading."""
 
 import math
-from dataclasses import dataclass, field, fields, replace
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args
 
+from .crframework import CR_MODES
 from .errors import ConfigurationError
 from .nested import TerminationRule
 from .optimizers import LowerConfig, UpperConfig
 from .problems import ProblemSpec, get_problem, problem_names
 from .ranknet import NetConfig
 
-MODES = ("nested", "cr", "cr_no_net", "cr_no_resample")
+MODES = ("nested", *CR_MODES)
 
 POP_FORMULA_UPPER = "4+floor(ln(m+n))"
 POP_FORMULA_LOWER = "4+floor(ln(n))"
@@ -43,7 +45,8 @@ class HarnessConfig:
     runs: int = 21
     base_seed: int = 0
     output_dir: str = "results"
-    pop_formula: str = ""
+    # how the population sizes were chosen; set by resolved(), so no config key
+    pop_formula: str = field(default="", init=False)
 
     def __post_init__(self):
         # the registry name, so "SMD1" and "smd1" are one problem everywhere
@@ -66,88 +69,69 @@ class HarnessConfig:
         """Copy with population sizes filled in from the problem dimensions.
 
         A pop_size of 0 (the default) means "use the published formula"; any
-        explicit value is an override and is recorded as such.
+        explicit value is an override and is recorded as such.  The lower
+        budget must cover the lower population, or no task could report a
+        best point.
         """
         upper, lower = self.upper, self.lower
-        formula = []
+        formula = [f"upper=override({upper.pop_size})", f"lower=override({lower.pop_size})"]
         if upper.pop_size == 0:
             upper = replace(upper, pop_size=default_upper_pop(p.m, p.n))
-            formula.append(f"upper={POP_FORMULA_UPPER}")
-        else:
-            formula.append(f"upper=override({upper.pop_size})")
+            formula[0] = f"upper={POP_FORMULA_UPPER}"
         if lower.pop_size == 0:
             lower = replace(lower, pop_size=default_lower_pop(p.n))
-            formula.append(f"lower={POP_FORMULA_LOWER}")
-        else:
-            formula.append(f"lower=override({lower.pop_size})")
-        cfg = replace(self, upper=upper, lower=lower, pop_formula="; ".join(formula))
+            formula[1] = f"lower={POP_FORMULA_LOWER}"
+        cfg = replace(self, upper=upper, lower=lower)
+        cfg.pop_formula = "; ".join(formula)
         cfg.upper.validate()
         cfg.lower.validate()
+        if cfg.termination.fes_l_max < lower.pop_size:
+            raise ConfigurationError(f"termination.fes_l_max: {cfg.termination.fes_l_max} "
+                                     f"cannot cover a lower population of {lower.pop_size}")
         return cfg.validate()
 
 
-def _build_section(cls, data, path):
+def _build(cls, data, path):
+    """``cls`` from a parsed JSON object.  Each key names an init field of
+    ``cls``; a dataclass-typed field is built from its own object and every
+    other value must fit the field's annotation."""
     if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: expected a table/object, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
+        raise ConfigurationError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    known = {f.name: f.type for f in fields(cls) if f.init}
     kwargs = {}
     for key, value in data.items():
         if key not in known:
             raise ConfigurationError(f"{path}.{key}: unknown key (known: {', '.join(sorted(known))})")
-        want = known[key].type
-        if not _fits(want, value):
+        want = known[key]
+        if is_dataclass(want):
+            value = _build(want, value, f"{path}.{key}")
+        elif not _fits(want, value):
             raise ConfigurationError(
                 f"{path}.{key}: expected {getattr(want, '__name__', want)}, got {value!r}")
-        kwargs[key] = value
+        # an int stored as given would hash apart from the equal float
+        kwargs[key] = float(value) if want is float else value
     return cls(**kwargs)
 
 
 def _fits(annotation, value):
-    """Whether a parsed JSON value fits a section field's annotation: a bool
-    is no number, an int is a valid float, and Optional[X] also takes null."""
+    """Whether a parsed JSON value fits a field's annotation: a bool is no
+    number, a float must be finite (an int is one), and Optional[X] also
+    takes null."""
     if annotation is type(None):
         return value is None
     if annotation is bool or isinstance(value, bool):
         return annotation is bool and isinstance(value, bool)
     if annotation is float:
-        return isinstance(value, (int, float))
-    if annotation is int:
-        return isinstance(value, int)
+        # false for NaN, and for infinities and ints no float can hold
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if annotation in (int, str):
+        return isinstance(value, annotation)
     return any(_fits(arg, value) for arg in get_args(annotation))
-
-
-_SECTIONS = {
-    "upper": UpperConfig,
-    "lower": LowerConfig,
-    "termination": TerminationRule,
-    "net": NetConfig,
-}
-
-_SCALARS = {
-    "problem": str,
-    "mode": str,
-    "runs": int,
-    "base_seed": int,
-    "output_dir": str,
-}
 
 
 def harness_config_from_dict(data, path="config") -> HarnessConfig:
     """Build and validate a HarnessConfig from parsed JSON, with field-path
     diagnostics on any error."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: expected a JSON object")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value, f"{path}.{key}")
-        elif key in _SCALARS:
-            want = _SCALARS[key]
-            if not isinstance(value, want) or isinstance(value, bool):
-                raise ConfigurationError(f"{path}.{key}: expected {want.__name__}, got {value!r}")
-            kwargs[key] = value
-        else:
-            raise ConfigurationError(f"{path}.{key}: unknown key")
-    cfg = HarnessConfig(**kwargs).validate()
+    cfg = _build(HarnessConfig, data, path).validate()
     cfg.resolved(get_problem(cfg.problem))  # engine knobs, checked before anything runs
     return cfg

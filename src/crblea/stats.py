@@ -160,7 +160,9 @@ def aggregate(records):
 def config_fingerprint(problem_name, termination):
     """Hash of the problem identity and termination settings.
 
-    ``crblea compare`` refuses two configs whose fingerprints differ.
+    ``crblea compare`` refuses two configs whose fingerprints differ.  Values
+    hash as stored: the config loader turns an int in a float field into a
+    float, but a rule built in code with an int there hashes apart.
     """
     import hashlib  # off the import path of a run
 

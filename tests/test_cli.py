@@ -311,6 +311,9 @@ def test_unknown_config_key(tmp_path, capsys):
     ("net", "q", 0),
     ("net", "epochs", -1),
     ("net", "lr", 0),
+    ("termination", "target_acc", float("inf")),
+    ("termination", "lower_var_eps", float("nan")),
+    ("termination", "fes_l_max", 3),  # below tq's lower population of 4
 ])
 def test_bad_config_value(tmp_path, capsys, section, key, value):
     cfg = base_config()

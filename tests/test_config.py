@@ -1,5 +1,9 @@
 """Configuration schema: defaults, formula resolution, dict loading."""
 
+import json
+import pathlib
+import re
+
 import pytest
 
 from crblea import (
@@ -12,6 +16,9 @@ from crblea import (
     harness_config_from_dict,
 )
 from crblea.problems import get_problem
+from crblea.stats import config_fingerprint
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_population_formulas():
@@ -88,6 +95,11 @@ class TestFromDict:
         with pytest.raises(ConfigurationError, match="config.engine"):
             harness_config_from_dict({"engine": "de"})
 
+    def test_pop_formula_is_not_a_key(self):
+        # resolved() sets it from the population sizes
+        with pytest.raises(ConfigurationError, match="config.pop_formula: unknown key"):
+            harness_config_from_dict({"pop_formula": "upper=override(20)"})
+
     def test_unknown_section_key_path(self):
         with pytest.raises(ConfigurationError, match="config.upper.popsize"):
             harness_config_from_dict({"upper": {"popsize": 5}})
@@ -115,6 +127,11 @@ class TestFromDict:
     @pytest.mark.parametrize("section,key,value", [
         ("upper", "pop_size", "20"), ("upper", "pop_size", 20.0), ("lower", "cma_sigma0", True),
         ("termination", "target_acc", None), ("net", "q", 2.5), ("net", "psi_relu", 1),
+        ("termination", "upper_var_eps", float("nan")),
+        ("termination", "lower_var_eps", float("inf")),
+        ("termination", "target_acc", float("inf")),
+        ("lower", "cma_sigma0", float("-inf")),
+        ("lower", "cma_sigma0", float("nan")),
     ])
     def test_section_value_type_checked(self, section, key, value):
         with pytest.raises(ConfigurationError, match=f"config.{section}.{key}: expected"):
@@ -123,7 +140,20 @@ class TestFromDict:
     def test_section_value_types_accepted(self):
         cfg = harness_config_from_dict({"lower": {"cma_sigma0": 1}, "net": {"q": None}})
         assert cfg.lower.cma_sigma0 == 1 and cfg.net.q is None
+        assert type(cfg.lower.cma_sigma0) is float
+
+    def test_an_int_and_the_equal_float_share_a_fingerprint(self):
+        # compare refuses configs whose fingerprints differ
+        a, b = (harness_config_from_dict({"termination": {"upper_var_eps": v}}) for v in (1, 1.0))
+        assert config_fingerprint("smd1", a.termination) == config_fingerprint("smd1", b.termination)
 
     def test_not_an_object(self):
         with pytest.raises(ConfigurationError):
             harness_config_from_dict([1, 2, 3])
+
+
+def test_readme_config_block_loads():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        harness_config_from_dict(json.loads(block))
