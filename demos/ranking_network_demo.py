@@ -52,7 +52,7 @@ def main():
     dataset = pdp(pool, normalizer)
     print(f"\ntraining on {len(dataset)} ordered pairs...")
     scale_init_to_batch(params, dataset.X[dataset.ia], rng)
-    trained = train(params, dataset, epochs=net_cfg.epochs, lr=net_cfg.lr)
+    trained = train(params, dataset, epochs=net_cfg.epochs)
     print(f"  BCE loss {trained.loss_curve[0]:.3f} -> {trained.loss_curve[-1]:.3f} "
           f"in {len(trained.loss_curve)} epochs")
     print(f"  pairwise ranking accuracy on the pool: {model_accuracy(trained, dataset):.3f}")

@@ -4,7 +4,7 @@ Verbs:
 
 * ``run``: execute N seeded runs of one (problem, mode) config, writing one
   JSON record and one CSV convergence trace per run.
-* ``compare``: run a base config and a variant config on the same problem and
+* ``compare``: run a base and a variant config (two modes, one problem) and
   emit one table row (medians, Wilcoxon marks, resource-saving rate).
 * ``suite``: run ``compare`` for every pair-config file in a directory and
   append an average resource-saving footer.
@@ -131,6 +131,8 @@ def cmd_compare(cfg_base: HarnessConfig, cfg_variant: HarnessConfig, jobs=1, out
         raise ConfigurationError("compare: both configs must target the same problem")
     if cfg_base.runs != cfg_variant.runs:
         raise ConfigurationError("compare: both configs must use the same number of runs")
+    if cfg_base.mode == cfg_variant.mode:  # the two arms' run files would share names
+        raise ConfigurationError(f"compare: both configs use mode {cfg_base.mode!r}")
     if (config_fingerprint(cfg_base.problem, cfg_base.termination)
             != config_fingerprint(cfg_variant.problem, cfg_variant.termination)):
         raise ConfigurationError("compare: both configs must use the same termination settings")

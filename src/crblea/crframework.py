@@ -54,7 +54,7 @@ def retrain(pool, params: RankNetParams, net_cfg, rng):
     # each pool point repeated N-1 times, the batch the recorded runs scaled on
     scale_init_to_batch(base, dataset.X[dataset.ia], rng)
     try:
-        return train(base, dataset, epochs=net_cfg.epochs, lr=net_cfg.lr), acc
+        return train(base, dataset, epochs=net_cfg.epochs), acc
     except TrainingDivergenceError:
         return params, acc  # keep the previous network generation
 

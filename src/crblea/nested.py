@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
 from .ledger import EvalLedger
-from .optimizers import LowerConfig, UpperConfig, _ff_key, de_trial, init_search, step
+from .optimizers import LowerConfig, _ff_key, de_trial, init_search, step
 from .problems import ProblemSpec, evaluate_lower, evaluate_upper
 from .stats import RunRecord, accuracy, config_fingerprint
 
@@ -32,10 +32,9 @@ class TerminationRule:
     target_acc: float = 1e-6
 
     def validate(self):
-        for name in ("fes_u_max", "fes_u_var_window", "upper_var_eps", "fes_l_max",
-                     "fes_l_var_window", "lower_var_eps", "target_acc"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"termination.{name}: must be positive")
+        for name, value in vars(self).items():
+            if not 0 < value < np.inf:  # refuses NaN as well
+                raise ConfigurationError(f"termination.{name}: must be positive and finite")
         return self
 
 
@@ -170,14 +169,14 @@ def check_upper_termination(ledger: EvalLedger, best_history, rule: TerminationR
     return None
 
 
-def upper_variation(P_u, cfg: UpperConfig, bounds, rng):
+def upper_variation(P_u, bounds, rng):
     """One rand/1/bin offspring x_u vector per parent.
 
     Every trial draws its donors from the parents, not from earlier trials.
     """
     low, high = bounds[:, 0], bounds[:, 1]
     X = np.array([ind.x_u for ind in P_u])
-    return [de_trial(X, i, cfg, low, high, rng) for i in range(len(P_u))]
+    return [de_trial(X, i, low, high, rng) for i in range(len(P_u))]
 
 
 class NestedRun:
@@ -255,7 +254,7 @@ class NestedRun:
 
     def variation(self):
         """One rand/1/bin offspring point per member of ``P_u``."""
-        return upper_variation(self.P_u, self.cfg.upper, self.p.upper_bounds, self.rng)
+        return upper_variation(self.P_u, self.p.upper_bounds, self.rng)
 
     def generation(self, xs):
         """One generation on the offspring points ``xs``: resolve them while

@@ -1,5 +1,6 @@
 """The search engine of each level: rand/1/bin variation (``de_trial``) for
-the upper level and CMA-ES for the lower level.
+the upper level and CMA-ES for the lower level.  Only their population sizes
+are configured; every other setting is a module constant.
 
 CMA-ES minimizes an objective ``obj(x) -> (fitness, violation)`` inside a
 box, where ``violation`` is the summed positive constraint excess (0 means
@@ -27,37 +28,32 @@ _sum = np.add.reduce
 # problems.
 WARM_SPREAD_FLOOR = 1e-4
 
+DE_SCALE = 0.5  # rand/1/bin scale factor F
+DE_CROSSOVER = 0.9  # rand/1/bin crossover rate CR
+CMA_SIGMA0 = 0.3  # cold-start CMA-ES step size, as a fraction of the mean box width
+
 
 @dataclass
 class UpperConfig:
-    """Upper-level rand/1/bin.  pop_size 0 means "use the formula"."""
+    """Upper-level rand/1/bin population.  pop_size 0 means "use the formula"."""
 
     pop_size: int = 0
-    de_scale: float = 0.5
-    de_crossover: float = 0.9
 
     def validate(self):
         if self.pop_size < 4:
             raise ConfigurationError("upper.pop_size: DE needs >= 4 (base + 3 distinct donors)")
-        if not (0.0 < self.de_scale <= 2.0):
-            raise ConfigurationError("upper.de_scale: must lie in (0, 2]")
-        if not (0.0 <= self.de_crossover <= 1.0):
-            raise ConfigurationError("upper.de_crossover: must lie in [0, 1]")
         return self
 
 
 @dataclass
 class LowerConfig:
-    """Lower-level CMA-ES.  pop_size 0 means "use the formula"."""
+    """Lower-level CMA-ES population.  pop_size 0 means "use the formula"."""
 
     pop_size: int = 0
-    cma_sigma0: float = 0.3  # initial step size as a fraction of the box width
 
     def validate(self):
         if self.pop_size < 2:
             raise ConfigurationError("lower.pop_size: CMA-ES needs >= 2")
-        if self.cma_sigma0 <= 0.0:
-            raise ConfigurationError("lower.cma_sigma0: must be positive")
         return self
 
 
@@ -65,7 +61,7 @@ def _ff_key(fitness, violation):
     return (1, violation) if violation > 0 else (0, fitness)
 
 
-def de_trial(X, i, cfg, low, high, rng):
+def de_trial(X, i, low, high, rng):
     """rand/1/bin trial vector for base row ``i`` of ``X``, clipped to the box.
 
     The three donors are distinct rows other than ``i``; binomial crossover
@@ -75,8 +71,8 @@ def de_trial(X, i, cfg, low, high, rng):
     idx = rng.choice(n - 1, size=3, replace=False)
     idx[idx >= i] += 1
     a, b, c = X[idx]
-    mutant = a + cfg.de_scale * (b - c)
-    cross = rng.random(d) < cfg.de_crossover
+    mutant = a + DE_SCALE * (b - c)
+    cross = rng.random(d) < DE_CROSSOVER
     cross[rng.integers(d)] = True
     return np.clip(np.where(cross, mutant, X[i]), low, high)
 
@@ -152,7 +148,7 @@ class CmaState:
         widths = self.high - self.low
         if start is None:
             mean_width = float(_sum(widths) / d)
-            self.sigma = config.cma_sigma0 * mean_width
+            self.sigma = CMA_SIGMA0 * mean_width
             scale = widths / mean_width
         else:
             # A warm start sizes each axis by how far its starting points
@@ -255,7 +251,7 @@ def init_search(config: LowerConfig, bounds, objective, rng, *, start=None) -> C
     """Evaluate an initial CMA-ES population inside ``bounds``.
 
     Without ``start`` the population is uniform over the box and the initial
-    step size is ``cma_sigma0`` of it.  A warm start puts the rows of
+    step size is ``CMA_SIGMA0`` of it.  A warm start puts the rows of
     ``start`` first, fills the rest uniformly, and takes the initial step
     sizes from the population's spread per axis.
     """

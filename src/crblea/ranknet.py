@@ -24,13 +24,14 @@ from .errors import ConfigurationError, ContractViolationError, TrainingDivergen
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_LR = 0.1
+TRAIN_STOP_EPS = 1e-5  # least loss improvement that resets train's patience count
 
 
 @dataclass
 class NetConfig:
     q: Optional[int] = None  # hidden width; None -> max(8, m + n + 3)
     epochs: int = 200
-    lr: float = 0.1
     psi_relu: bool = True  # ReLU after the mapping layer (linear otherwise)
 
     def validate(self):
@@ -38,8 +39,6 @@ class NetConfig:
             raise ConfigurationError("net.q: must be >= 1 or null")
         if self.epochs < 1:
             raise ConfigurationError("net.epochs: must be >= 1")
-        if not self.lr > 0.0:
-            raise ConfigurationError("net.lr: must be positive")
         return self
 
     def width_for(self, m, n):
@@ -329,24 +328,12 @@ def _pair_loss(dataset: PairDataset):
     return loss_and_grads
 
 
-def pair_loss_and_grads(params, dataset: PairDataset):
-    """Mean BCE over the pair batch and its analytic parameter gradients.
-
-    The subnet runs once per distinct point of the pool; pair terms gather
-    those scores and scatter their gradients back.  The gradients come as a
-    dict keyed by weight name.
-    """
-    loss, grads = _pair_loss(dataset)(params)
-    return loss, {k: grads[sl].reshape(shape)
-                  for k, sl, shape in _layout(params.m, params.n, params.q)}
-
-
-def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
-          stop_eps=1e-5, stop_patience=20) -> RankNetParams:
+def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
+          stop_patience=20) -> RankNetParams:
     """Full-batch Adam on the pair dataset; returns updated parameters.
 
     The Adam moments start at zero on every call.  Stops early once the best
-    loss has not improved by ``stop_eps`` for ``stop_patience`` epochs.  A
+    loss has not improved by ``TRAIN_STOP_EPS`` for ``stop_patience`` epochs.  A
     non-finite loss raises TrainingDivergenceError (callers keep the previous
     parameters).
     """
@@ -366,7 +353,7 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=0.1,
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite training loss {loss!r}")
         out.loss_curve.append(loss)
-        if loss < best_loss - stop_eps:
+        if loss < best_loss - TRAIN_STOP_EPS:
             best_loss = loss
             since_improvement = 0
         else:

@@ -200,6 +200,18 @@ def test_compare_rejects_unequal_runs(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_compare_rejects_one_mode_on_both_sides(tmp_path, capsys):
+    # both arms would write tq_nested_seed*.json, the variant's over the base's
+    base = write_config(tmp_path, "base.json", base_config("nested", runs=2))
+    variant = write_config(tmp_path, "variant.json",
+                           base_config("nested", runs=2, upper={"pop_size": 10}))
+    out_dir = tmp_path / "x"
+    assert main(["compare", "--config", base, "--variant-config", variant,
+                 "--out", str(out_dir)]) == 2
+    assert "both configs use mode 'nested'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_compare_rejects_unequal_termination_before_running(tmp_path, capsys):
     base = write_config(tmp_path, "base.json", base_config("nested"))
     variant = write_config(tmp_path, "variant.json", base_config(
@@ -235,6 +247,9 @@ def test_suite_runs_pairs_and_reports_errors(tmp_path, capsys):
         "variant": base_config("cr", runs=2),
     }))
     (pair_dir / "broken.json").write_text(json.dumps({"base": base_config()}))
+    (pair_dir / "one_mode.json").write_text(json.dumps({
+        "base": base_config("cr", runs=2), "variant": base_config("cr", runs=2),
+    }))
     (pair_dir / "garbled.json").write_text("{not json")
     out_dir = tmp_path / "suite_out"
     assert main(["suite", "--config", str(pair_dir), "--out", str(out_dir)]) == 0
@@ -242,7 +257,8 @@ def test_suite_runs_pairs_and_reports_errors(tmp_path, capsys):
     with open(out_dir / "suite.json") as fh:
         report = json.load(fh)
     assert len(report["rows"]) == 1
-    assert sorted(report["errors"]) == ["broken.json", "garbled.json"]
+    assert sorted(report["errors"]) == ["broken.json", "garbled.json", "one_mode.json"]
+    assert "both configs use mode 'cr'" in report["errors"]["one_mode.json"]
     assert "average_r_rs_percent" in report
 
     text = (out_dir / "suite.csv").read_text()
@@ -310,7 +326,7 @@ def test_unknown_config_key(tmp_path, capsys):
     ("upper", "pop_size", "20"),
     ("net", "q", 0),
     ("net", "epochs", -1),
-    ("net", "lr", 0),
+    ("net", "lr", 0),  # not a key: the learning rate is ranknet.ADAM_LR
     ("termination", "target_acc", float("inf")),
     ("termination", "lower_var_eps", float("nan")),
     ("termination", "fes_l_max", 3),  # below tq's lower population of 4
@@ -329,9 +345,9 @@ def test_bad_config_value(tmp_path, capsys, section, key, value):
 def test_compare_checks_both_configs_before_running(tmp_path, capsys):
     base = write_config(tmp_path, "base.json", base_config())
     variant = write_config(tmp_path, "variant.json",
-                           base_config("cr", upper={"pop_size": 6, "de_scale": 0}))
+                           base_config("cr", upper={"pop_size": 3}))
     out_dir = tmp_path / "cmp"
     assert main(["compare", "--config", base, "--variant-config", variant,
                  "--out", str(out_dir)]) == 2
-    assert "upper.de_scale" in capsys.readouterr().err
+    assert "upper.pop_size" in capsys.readouterr().err
     assert not out_dir.exists()

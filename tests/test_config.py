@@ -3,6 +3,7 @@
 import json
 import pathlib
 import re
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -10,6 +11,8 @@ from crblea import (
     ConfigurationError,
     HarnessConfig,
     LowerConfig,
+    NetConfig,
+    TerminationRule,
     UpperConfig,
     default_lower_pop,
     default_upper_pop,
@@ -31,7 +34,7 @@ def test_defaults():
     cfg = HarnessConfig()
     assert cfg.mode == "nested"
     assert cfg.upper == UpperConfig(pop_size=0)  # 0 = use the formula
-    assert cfg.lower == LowerConfig(pop_size=0, cma_sigma0=0.3)
+    assert cfg.lower == LowerConfig(pop_size=0)
     assert cfg.runs == 21
 
 
@@ -55,13 +58,13 @@ def test_resolved_records_a_lower_override():
     assert cfg.pop_formula == "upper=4+floor(ln(m+n)); lower=override(8)"
 
 
-@pytest.mark.parametrize("data", [{"lower": {"cma_sigma0": 0.2}}, {"upper": {"de_scale": 0.6}}])
+@pytest.mark.parametrize("data", [{"termination": {"fes_u_max": 1000}}, {"net": {"epochs": 50}}])
 def test_omitted_fields_take_the_harness_defaults(data):
     cfg = harness_config_from_dict(data).resolved(get_problem("smd1"))
     assert (cfg.upper.pop_size, cfg.lower.pop_size) == (5, 5)
     assert cfg.pop_formula == "upper=4+floor(ln(m+n)); lower=4+floor(ln(n))"
-    assert cfg.lower.cma_sigma0 == data.get("lower", {}).get("cma_sigma0", 0.3)
-    assert cfg.upper.de_scale == data.get("upper", {}).get("de_scale", 0.5)
+    assert cfg.termination == TerminationRule(**data.get("termination", {}))
+    assert cfg.net == NetConfig(**data.get("net", {}))
 
 
 def test_validate_rejects_bad_mode_problem_runs():
@@ -81,13 +84,13 @@ class TestFromDict:
             "runs": 3,
             "base_seed": 7,
             "upper": {"pop_size": 20},
-            "lower": {"cma_sigma0": 0.2},
+            "lower": {"pop_size": 6},
             "termination": {"fes_u_max": 100},
             "net": {"q": 4},
         })
         assert cfg.problem == "smd2" and cfg.mode == "cr"
         assert cfg.upper.pop_size == 20
-        assert cfg.lower.cma_sigma0 == 0.2
+        assert cfg.lower.pop_size == 6
         assert cfg.termination.fes_u_max == 100
         assert cfg.net.q == 4
 
@@ -103,6 +106,15 @@ class TestFromDict:
     def test_unknown_section_key_path(self):
         with pytest.raises(ConfigurationError, match="config.upper.popsize"):
             harness_config_from_dict({"upper": {"popsize": 5}})
+
+    @pytest.mark.parametrize("section,key,old_default", [
+        ("upper", "de_scale", 0.5), ("upper", "de_crossover", 0.9),
+        ("lower", "cma_sigma0", 0.3), ("net", "lr", 0.1),
+    ])
+    def test_fixed_setting_is_not_a_key(self, section, key, old_default):
+        # constants of optimizers and ranknet, refused even at their value
+        with pytest.raises(ConfigurationError, match=f"config.{section}.{key}: unknown key"):
+            harness_config_from_dict({section: {key: old_default}})
 
     @pytest.mark.parametrize("section", ["upper", "lower"])
     def test_engine_seed_is_not_a_key(self, section):
@@ -125,22 +137,23 @@ class TestFromDict:
             harness_config_from_dict({"upper": {"kind": "anneal", "pop_size": 5}})
 
     @pytest.mark.parametrize("section,key,value", [
-        ("upper", "pop_size", "20"), ("upper", "pop_size", 20.0), ("lower", "cma_sigma0", True),
+        ("upper", "pop_size", "20"), ("upper", "pop_size", 20.0),
+        ("termination", "target_acc", True),
         ("termination", "target_acc", None), ("net", "q", 2.5), ("net", "psi_relu", 1),
         ("termination", "upper_var_eps", float("nan")),
         ("termination", "lower_var_eps", float("inf")),
         ("termination", "target_acc", float("inf")),
-        ("lower", "cma_sigma0", float("-inf")),
-        ("lower", "cma_sigma0", float("nan")),
+        ("termination", "upper_var_eps", float("-inf")),
+        ("termination", "lower_var_eps", float("nan")),
     ])
     def test_section_value_type_checked(self, section, key, value):
         with pytest.raises(ConfigurationError, match=f"config.{section}.{key}: expected"):
             harness_config_from_dict({section: {key: value}})
 
     def test_section_value_types_accepted(self):
-        cfg = harness_config_from_dict({"lower": {"cma_sigma0": 1}, "net": {"q": None}})
-        assert cfg.lower.cma_sigma0 == 1 and cfg.net.q is None
-        assert type(cfg.lower.cma_sigma0) is float
+        cfg = harness_config_from_dict({"termination": {"target_acc": 1}, "net": {"q": None}})
+        assert cfg.termination.target_acc == 1 and cfg.net.q is None
+        assert type(cfg.termination.target_acc) is float
 
     def test_an_int_and_the_equal_float_share_a_fingerprint(self):
         # compare refuses configs whose fingerprints differ
@@ -152,8 +165,18 @@ class TestFromDict:
             harness_config_from_dict([1, 2, 3])
 
 
+def init_fields(cls):
+    return sorted(f.name for f in fields(cls) if f.init)
+
+
 def test_readme_config_block_loads():
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
     assert blocks
     for block in blocks:
         harness_config_from_dict(json.loads(block))
+    # the first block is the schema: it names every key a config can set
+    schema = json.loads(blocks[0])
+    assert sorted(schema) == init_fields(HarnessConfig)
+    for f in fields(HarnessConfig):
+        if is_dataclass(f.type):
+            assert sorted(schema[f.name]) == init_fields(f.type), f.name

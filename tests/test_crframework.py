@@ -90,7 +90,7 @@ class TestRetrain:
         base = RankNetParams.init(2, 2, 2, rng, generation_id=1, normalizer=Normalizer.fit(X))
         ds = pdp(entries, base.normalizer)
         scale_init_to_batch(base, ds.X[ds.ia], rng)
-        ref = train(base, ds, epochs=self.net_cfg.epochs, lr=self.net_cfg.lr)
+        ref = train(base, ds, epochs=self.net_cfg.epochs)
         assert acc is not None and acc == ref_acc
         assert params.loss_curve == ref.loss_curve
         for k in _PARAM_NAMES:

@@ -52,6 +52,10 @@ class TestTerminationRule:
     def test_positive_required(self, field):
         with pytest.raises(ConfigurationError, match=f"termination.{field}"):
             TerminationRule(**{field: 0}).validate()
+        # a config built in code skips the loader's float check
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match=f"termination.{field}"):
+                TerminationRule(**{field: value}).validate()
 
 
 def test_require_evaluated():
@@ -173,7 +177,7 @@ def test_upper_variation_count_and_bounds():
     for i, ind in enumerate(parents):
         ind.x_u = rng.uniform(-4, 9, 2)
     bounds = np.tile([-5.0, 10.0], (2, 1))
-    out = upper_variation(parents, UpperConfig(pop_size=6), bounds, rng)
+    out = upper_variation(parents, bounds, rng)
     assert len(out) == 6  # one offspring per parent
     for x in out:
         assert np.all(x >= -5.0) and np.all(x <= 10.0)

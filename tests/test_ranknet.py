@@ -27,10 +27,11 @@ from crblea.ranknet import (
     ADAM_BETA2,
     ADAM_EPS,
     PairDataset,
-    pair_loss_and_grads,
     scale_init_to_batch,
     subnet_batch,
     _PARAM_NAMES,
+    _layout,
+    _pair_loss,
 )
 
 
@@ -91,7 +92,7 @@ def test_pair_loss_matches_per_pair_evaluation():
     # mean BCE over every pair scored on its own.
     params = fresh_params()
     pool = make_pool(np.random.default_rng(1).normal(size=7))
-    loss, _ = pair_loss_and_grads(params, pdp(pool, IDENTITY))
+    loss, _ = _pair_loss(pdp(pool, IDENTITY))(params)
     assert loss == pytest.approx(pair_loop_loss(params, pool), rel=1e-12)
 
 
@@ -108,16 +109,15 @@ def test_duplicate_points_share_one_row():
     assert np.array_equal(ds.X, np.unique(rows, axis=0))
 
     params = fresh_params(seed=13)
-    loss, grads = pair_loss_and_grads(params, ds)
+    loss, grads = _pair_loss(ds)(params)
     assert loss == pytest.approx(pair_loop_loss(params, pool), rel=1e-12)
     # the same pairs over one row per pool member, duplicates kept apart
     i, j = np.nonzero(~np.eye(N, dtype=bool))
     F = np.array([ind.F for ind in pool])
     copies = PairDataset(rows, i, j, (np.sign(F[j] - F[i]) + 1.0) / 2.0)
-    copy_loss, copy_grads = pair_loss_and_grads(params, copies)
+    copy_loss, copy_grads = _pair_loss(copies)(params)
     assert copy_loss == pytest.approx(loss, rel=1e-12)
-    for k in _PARAM_NAMES:
-        assert np.allclose(grads[k], copy_grads[k], rtol=1e-10, atol=1e-15)
+    assert np.allclose(grads, copy_grads, rtol=1e-10, atol=1e-15)
 
 
 class TestPdp:
@@ -209,21 +209,18 @@ class TestPairForward:
 
 
 def numeric_gradients(params, dataset, eps=1e-6):
-    grads = {}
-    for name in _PARAM_NAMES:
-        W = getattr(params, name)
-        g = np.zeros_like(W)
-        flat = W.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp, _ = pair_loss_and_grads(params, dataset)
-            flat[i] = orig - eps
-            lm, _ = pair_loss_and_grads(params, dataset)
-            flat[i] = orig
-            gflat[i] = (lp - lm) / (2 * eps)
-        grads[name] = g
+    # central differences on each entry of theta, which every weight array views
+    loss_and_grads = _pair_loss(dataset)
+    theta = params.theta
+    grads = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + eps
+        lp, _ = loss_and_grads(params)
+        theta[i] = orig - eps
+        lm, _ = loss_and_grads(params)
+        theta[i] = orig
+        grads[i] = (lp - lm) / (2 * eps)
     return grads
 
 
@@ -239,13 +236,11 @@ def gradient_relative_error(seed, m=2, n=2, q=3, batch=6):
     ia, ib = rng.integers(0, batch, (2, batch))
     labels = rng.choice([0.0, 0.5, 1.0], size=batch)
     ds = PairDataset(X, ia, ib, labels)
-    _, analytic = pair_loss_and_grads(params, ds)
-    numeric = numeric_gradients(params, ds)
+    _, a = _pair_loss(ds)(params)
+    nmr = numeric_gradients(params, ds)
     # compare whole gradient vectors: per-block normalization misreads
     # finite-difference noise on identically-zero blocks (dead ReLU rows)
     # as large relative error
-    a = np.concatenate([analytic[k].ravel() for k in _PARAM_NAMES])
-    nmr = np.concatenate([numeric[k].ravel() for k in _PARAM_NAMES])
     return np.max(np.abs(a - nmr)) / max(np.max(np.abs(a)), np.max(np.abs(nmr)), 1e-8)
 
 
@@ -279,9 +274,11 @@ def test_train_equals_adam_on_each_weight_array():
     ref = params.copy()
     m = {k: np.zeros_like(getattr(ref, k)) for k in _PARAM_NAMES}
     v = {k: np.zeros_like(getattr(ref, k)) for k in _PARAM_NAMES}
+    loss_and_grads = _pair_loss(ds)
     curve = []
     for t in range(1, epochs + 1):
-        loss, grads = pair_loss_and_grads(ref, ds)
+        loss, flat = loss_and_grads(ref)
+        grads = {k: flat[sl].reshape(shape) for k, sl, shape in _layout(2, 3, 6)}
         curve.append(loss)
         for k in _PARAM_NAMES:
             m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * grads[k]
@@ -289,7 +286,7 @@ def test_train_equals_adam_on_each_weight_array():
             m_hat = m[k] / (1 - ADAM_BETA1**t)
             v_hat = v[k] / (1 - ADAM_BETA2**t)
             setattr(ref, k, getattr(ref, k) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    curve.append(pair_loss_and_grads(ref, ds)[0])
+    curve.append(loss_and_grads(ref)[0])
 
     trained = train(params, ds, epochs=epochs, lr=lr, stop_patience=epochs + 1)
     assert trained.loss_curve == curve
