@@ -19,8 +19,7 @@ from crblea import (
     UpperConfig,
     get_problem,
     lower_level_search,
-    run_cr_blea,
-    run_nested_blea,
+    run_single,
 )
 
 SEED = 7
@@ -45,10 +44,9 @@ def main():
               f"|error|={err:.1e}  f*={f:.1e}  ({ledger.fes_l} lower FEs)")
 
     print("\n-- full bilevel runs, baseline vs ranking-gated --")
-    cfg = HarnessConfig(problem="tq", upper=UpperConfig(pop_size=20))
-    nested = run_nested_blea(p, cfg, seed=SEED)
-    cfg_cr = HarnessConfig(problem="tq", mode="cr", upper=UpperConfig(pop_size=20))
-    cr = run_cr_blea(p, cfg_cr, seed=SEED)
+    # one entry point: the mode picks the gate, and "nested" lets every offspring through
+    nested = run_single(HarnessConfig(problem="tq", upper=UpperConfig(pop_size=20)), SEED)
+    cr = run_single(HarnessConfig(problem="tq", mode="cr", upper=UpperConfig(pop_size=20)), SEED)
     for record in (nested, cr):
         print(f"  mode={record.mode:<7} F={record.best_F:.6f}  "
               f"acc_u={record.acc_u:.1e}  FEs_total={record.fes_t}  "

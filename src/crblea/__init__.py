@@ -6,7 +6,7 @@ full lower-level search, cutting the total function-evaluation bill.
 """
 
 from .config import HarnessConfig, default_lower_pop, default_upper_pop, harness_config_from_dict
-from .crframework import pgr, retrain, run_cr_blea
+from .crframework import pgr, retrain, run_single
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -21,7 +21,6 @@ from .nested import (
     UpperIndividual,
     environmental_selection,
     lower_level_search,
-    run_nested_blea,
 )
 from .optimizers import LowerConfig, UpperConfig, init_search, step
 from .problems import (
@@ -58,12 +57,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HarnessConfig", "default_upper_pop", "default_lower_pop", "harness_config_from_dict",
-    "pgr", "retrain", "run_cr_blea",
+    "pgr", "retrain", "run_single",
     "CrbleaError", "ContractViolationError", "ConfigurationError",
     "EvaluationError", "TrainingDivergenceError",
     "EvalLedger",
     "NestedRun", "TerminationRule", "UpperIndividual", "environmental_selection",
-    "lower_level_search", "run_nested_blea",
+    "lower_level_search",
     "UpperConfig", "LowerConfig", "init_search", "step",
     "ProblemSpec", "evaluate_upper", "evaluate_lower", "get_problem",
     "make_smd", "make_toy", "problem_names",

@@ -6,8 +6,8 @@ Verbs:
   JSON record and one CSV convergence trace per run.
 * ``compare``: run a base and a variant config (two modes, one problem) and
   emit one table row (medians, Wilcoxon marks, resource-saving rate).
-* ``suite``: run ``compare`` for every pair-config file in a directory and
-  append an average resource-saving footer.
+* ``suite``: run ``compare`` for every pair-config file in a directory, each
+  into its own subdirectory, and append an average resource-saving footer.
 * ``list-problems``: print the registry.
 
 Config files are JSON objects mirroring HarnessConfig (see README for the
@@ -24,20 +24,11 @@ import sys
 import time
 
 from .config import MODES, HarnessConfig, harness_config_from_dict
-from .crframework import run_cr_blea
+from .crframework import run_single
 from .errors import ConfigurationError, CrbleaError
-from .nested import run_nested_blea
 from .problems import get_problem, problem_names
 from .stats import (AGGREGATE_FIELDS, RunRecord, accuracy, aggregate, config_fingerprint,
                     resource_saving_rate, wilcoxon_ranksum)
-
-
-def run_single(cfg: HarnessConfig, seed: int) -> RunRecord:
-    """One seeded run of the configured mode on the configured problem."""
-    p = get_problem(cfg.problem)
-    if cfg.mode == "nested":
-        return run_nested_blea(p, cfg, seed)
-    return run_cr_blea(p, cfg, seed)
 
 
 def _atomic_write(path, text):
@@ -131,6 +122,8 @@ def cmd_compare(cfg_base: HarnessConfig, cfg_variant: HarnessConfig, jobs=1, out
         raise ConfigurationError("compare: both configs must target the same problem")
     if cfg_base.runs != cfg_variant.runs:
         raise ConfigurationError("compare: both configs must use the same number of runs")
+    if cfg_base.runs < 2:  # the rank-sum marks need two runs per arm
+        raise ConfigurationError(f"compare: needs at least 2 runs per config, got {cfg_base.runs}")
     if cfg_base.mode == cfg_variant.mode:  # the two arms' run files would share names
         raise ConfigurationError(f"compare: both configs use mode {cfg_base.mode!r}")
     if (config_fingerprint(cfg_base.problem, cfg_base.termination)
@@ -147,7 +140,8 @@ def cmd_compare(cfg_base: HarnessConfig, cfg_variant: HarnessConfig, jobs=1, out
 
 
 def cmd_suite(config_dir, jobs=1, out_dir=None):
-    """Run every pair config in a directory; aggregate an average-R_rs footer."""
+    """Run every pair config in a directory, each into ``out_dir/<file stem>/``;
+    aggregate an average-R_rs footer."""
     if not os.path.isdir(config_dir):
         raise ConfigurationError(f"suite: {config_dir} is not a directory")
     files = sorted(f for f in os.listdir(config_dir) if f.endswith(".json"))
@@ -164,7 +158,8 @@ def cmd_suite(config_dir, jobs=1, out_dir=None):
                 raise ConfigurationError(f"{name}: suite configs need 'base' and 'variant' sections")
             cfg_base = harness_config_from_dict(data["base"], path=f"{name}.base")
             cfg_variant = harness_config_from_dict(data["variant"], path=f"{name}.variant")
-            rows.append(cmd_compare(cfg_base, cfg_variant, jobs=jobs, out_dir=out_dir))
+            rows.append(cmd_compare(cfg_base, cfg_variant, jobs=jobs,
+                                    out_dir=os.path.join(out_dir, os.path.splitext(name)[0])))
         except (CrbleaError, OSError, ValueError) as exc:  # reported; the suite goes on
             errors[name] = f"{type(exc).__name__}: {exc}"
     os.makedirs(out_dir, exist_ok=True)

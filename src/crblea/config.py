@@ -5,14 +5,13 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args
 
-from .crframework import CR_MODES
 from .errors import ConfigurationError
 from .nested import TerminationRule
 from .optimizers import LowerConfig, UpperConfig
 from .problems import ProblemSpec, get_problem, problem_names
 from .ranknet import NetConfig
 
-MODES = ("nested", *CR_MODES)
+MODES = ("nested", "cr", "cr_no_net", "cr_no_resample")
 
 POP_FORMULA_UPPER = "4+floor(ln(m+n))"
 POP_FORMULA_LOWER = "4+floor(ln(n))"

@@ -1,15 +1,17 @@
-"""Resource-allocation framework around the nested baseline.
+"""The run loop of every mode, around the nested baseline's steps.
 
 A run is two loops.  The warm-up loop is the plain nested BLEA, and every
 evaluated individual goes into a pool, a plain list.  Once the pool holds
-``pool_trigger_size`` points, enough training pairs for the contrastive
-ranking network, the run switches for good to the allocated loop: each
-generation, offspring are scored against a fixed zero reference and only the
-top half receive a lower-level search, with one optional resampling when the
-offspring look worse than the parents.  Whenever the pool refills to the
-trigger, ``retrain`` trains a fresh network on it and the pool is emptied.
-The "cr_no_net" ablation keeps no pool after the switch: it picks its half
-uniformly at random.
+the mode's trigger, the run switches for good to the allocated loop, where
+the mode's gate picks the offspring that get a lower-level search.  The
+nested baseline triggers at 0 and its gate passes every offspring.  The CR
+modes trigger at ``pool_trigger_size``, enough training pairs for the
+contrastive ranking network, and resolve half of each generation: the top
+scored against a fixed zero reference, with one resampling when the
+offspring look worse than the parents ("cr_no_resample" never resamples),
+or a uniformly random half ("cr_no_net", which keeps no pool after the
+switch).  Whenever the pool refills to the trigger, ``retrain`` trains a
+fresh network on it and the pool is emptied.
 """
 
 import math
@@ -19,6 +21,7 @@ import numpy as np
 from .errors import ContractViolationError, TrainingDivergenceError
 # bench/tracer.py wraps both names here, so they stay importable from this module
 from .nested import NestedRun, environmental_selection, upper_variation  # noqa: F401
+from .problems import get_problem
 from .ranknet import (
     Normalizer,
     RankNetParams,
@@ -29,8 +32,6 @@ from .ranknet import (
     scale_init_to_batch,
     train,
 )
-
-CR_MODES = ("cr", "cr_no_net", "cr_no_resample")
 
 
 def retrain(pool, params: RankNetParams, net_cfg, rng):
@@ -91,23 +92,22 @@ def _refresh_scores(params, P_u):
         ind.rank_score = float(s)
 
 
-def run_cr_blea(p, cfg, seed):
-    """Run the resource-allocated bilevel EA and return a RunRecord.
+def run_single(cfg, seed):
+    """One seeded run of ``cfg.mode`` on ``cfg.problem``; returns its RunRecord.
 
-    ``cfg.mode`` selects the full framework ("cr") or one of its ablations:
-    "cr_no_net" replaces ranking with a uniformly random task choice and
-    "cr_no_resample" disables the resampling step.
+    The modes differ only in the trigger and the gate: the offspring points
+    each hands to ``NestedRun.generation``.
     """
-    run = NestedRun(p, cfg, seed)
-    cfg = run.cfg
-    if cfg.mode not in CR_MODES:
-        raise ContractViolationError(f"run_cr_blea called with mode {cfg.mode!r}")
-    net_rng = np.random.default_rng(run.rng.integers(2**63))
-
-    q = cfg.net.width_for(p.m, p.n)
-    params = RankNetParams.init(p.m, p.n, q, net_rng, psi_relu=cfg.net.psi_relu,
-                                normalizer=Normalizer(p.upper_bounds))
-    trigger = pool_trigger_size(params)
+    run = NestedRun(get_problem(cfg.problem), cfg, seed)
+    p, cfg = run.p, run.cfg
+    if cfg.mode == "nested":
+        params, trigger = None, 0
+    else:
+        net_rng = np.random.default_rng(run.rng.integers(2**63))
+        params = RankNetParams.init(p.m, p.n, cfg.net.width_for(p.m, p.n), net_rng,
+                                    psi_relu=cfg.net.psi_relu,
+                                    normalizer=Normalizer(p.upper_bounds))
+        trigger = pool_trigger_size(params)
 
     pool = list(run.start())
     N_u = cfg.upper.pop_size
@@ -118,9 +118,11 @@ def run_cr_blea(p, cfg, seed):
     while not (stop_reason := run.stop_reason()) and len(pool) < trigger:
         pool.extend(run.generation(run.variation()))
 
-    # allocated: only the chosen half of each generation's offspring is resolved
+    # allocated: only the offspring the mode's gate lets through are resolved
     while not stop_reason:
-        if cfg.mode == "cr_no_net":
+        if cfg.mode == "nested":
+            run.generation(run.variation())
+        elif cfg.mode == "cr_no_net":
             candidates = run.variation()
             chosen = run.rng.choice(len(candidates), size=math.ceil(N_u / 2), replace=False)
             run.generation([candidates[i] for i in chosen])
@@ -145,7 +147,8 @@ def run_cr_blea(p, cfg, seed):
     return run.record(
         seed, stop_reason,
         model_acc_history=model_acc_history,
-        trainings_done=params.generation_id,  # each successful training adds one
+        # each successful training adds one
+        trainings_done=params.generation_id if params else 0,
         resamplings=resamplings,
         pool_trigger=trigger,
     )

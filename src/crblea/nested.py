@@ -1,9 +1,10 @@
-"""Baseline nested bilevel EA.
+"""The nested bilevel EA's state and steps.
 
 Every upper-level candidate is resolved by a full lower-level search before
 its upper objective can be evaluated; survivors are kept by feasibility-first
 environmental selection.  Termination windows are measured in function
-evaluations, not generations.
+evaluations, not generations.  The loop that drives a run, for the nested
+baseline and the CR modes alike, is ``crframework.run_single``.
 """
 
 from dataclasses import dataclass
@@ -185,9 +186,9 @@ class NestedRun:
     It holds the problem ``p``, the resolved ``cfg``, the run's ``rng``, its
     ``ledger`` and ``archive``, the upper population ``P_u``, the
     feasibility-first ``best`` individual resolved so far and ``history``,
-    the elitist F after each upper FE.  ``run_nested_blea`` and
-    ``run_cr_blea`` drive a run only through its methods; they differ in
-    which offspring points they hand to ``generation``.
+    the elitist F after each upper FE.  ``crframework.run_single`` drives
+    a run only through its methods; the modes differ in which offspring
+    points they hand to ``generation``.
     """
 
     def __init__(self, p: ProblemSpec, cfg, seed):
@@ -302,10 +303,10 @@ class NestedRun:
             reason = self._termination()
         return reason
 
-    def record(self, seed, stop_reason, model_acc_history=(), trainings_done=0,
-               resamplings=0, pool_trigger=0) -> RunRecord:
-        """The RunRecord of the finished run; the keyword fields are the CR
-        loop's."""
+    def record(self, seed, stop_reason, model_acc_history, trainings_done,
+               resamplings, pool_trigger) -> RunRecord:
+        """The RunRecord of the finished run; the last four fields are the
+        run loop's own counts."""
         best = self.best.require_evaluated()
         cfg, ledger = self.cfg, self.ledger
         F_r, f_r = self.p.optimum
@@ -331,12 +332,3 @@ class NestedRun:
             resamplings=resamplings,
             pool_trigger=pool_trigger,
         )
-
-
-def run_nested_blea(p: ProblemSpec, cfg, seed):
-    """Run the baseline nested BLEA and return a RunRecord."""
-    run = NestedRun(p, cfg, seed)
-    run.start()
-    while not (stop_reason := run.stop_reason()):
-        run.generation(run.variation())
-    return run.record(seed, stop_reason)

@@ -6,13 +6,18 @@ modes at seeds 1 and 2 (104), the protocol with ``fes_u_max`` 150 and
 ``fes_l_max`` 120.  Each line reads ``problem mode seed run sha1``, where
 run is "protocol" or "short" and the sha1 is taken as
 ``tests/test_golden.py`` takes it.  A change meant to keep
-every record prints the same lines before and after:
+every record prints the same lines before and after.  ``tests/_digests.txt``
+holds the lines of the committed records; ``--check`` prints the lines of
+this checkout, then names each one that differs from that file and exits 1
+if any does:
 
-    python3 tests/_digests.py > digests.txt
+    python3 tests/_digests.py --check
+    python3 tests/_digests.py > tests/_digests.txt   # after a change meant to move records
 
-The protocol runs take several minutes on one core.
+The runs take about 2.5 min on one core.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -28,6 +33,7 @@ from crblea.problems import problem_names  # noqa: E402
 from _corpus import protocol_config  # noqa: E402
 
 SHORT = TerminationRule(fes_u_max=150, fes_l_max=120)
+EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_digests.txt")
 
 
 def runs():
@@ -41,12 +47,30 @@ def runs():
                 yield "short", replace(protocol_config(problem, mode), termination=SHORT), seed
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="sha1 of 130 seeded run records")
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare with {os.path.basename(EXPECTED)}; exit 1 on any difference")
+    args = parser.parse_args(argv)
+    got = []
     for label, cfg, seed in runs():
         record = run_single(cfg, seed)
         digest = hashlib.sha1(json.dumps(record.to_dict(), sort_keys=True).encode()).hexdigest()
-        print(f"{cfg.problem} {cfg.mode} {seed} {label} {digest}", flush=True)
+        got.append(f"{cfg.problem} {cfg.mode} {seed} {label} {digest}")
+        print(got[-1], flush=True)
+    if not args.check:
+        return 0
+    with open(EXPECTED) as fh:
+        expected = fh.read().splitlines()
+    differ = [(want, line) for want, line in zip(expected, got) if want != line]
+    for want, line in differ:
+        print(f"differs: expected {want!r}, got {line!r}", file=sys.stderr)
+    if len(expected) != len(got):
+        print(f"differs: expected {len(expected)} lines, got {len(got)}", file=sys.stderr)
+    ok = not differ and len(expected) == len(got)
+    print(f"{len(got)} records, {'all equal' if ok else f'{len(differ)} differ'}", file=sys.stderr)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -29,7 +29,6 @@ from crblea import (
     pdp,
     pool_trigger_size,
     resource_saving_rate,
-    run_nested_blea,
     wilcoxon_ranksum,
 )
 from crblea.cli import run_single
@@ -202,11 +201,8 @@ def test_criterion_8_oracles():
         failures.append(f"toy nested accuracy {toy_acc:.2e}")
 
     # per-generation lower-FE spending exactly halves after the first training
-    from crblea import run_cr_blea
-
     n_u = 6
-    prob, ccfg = test_crframework.capped_problem_and_config(n_u)
-    record = run_cr_blea(prob, ccfg, seed=0)
+    record = run_single(test_crframework.capped_config(n_u), 0)
     deltas = [b[0] - a[0] for a, b in zip(record.trace, record.trace[1:])]
     full, half = n_u * 41, (n_u // 2) * 41
     ok_halving = (record.trainings_done >= 1 and set(deltas) <= {full, half}

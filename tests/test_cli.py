@@ -200,6 +200,19 @@ def test_compare_rejects_unequal_runs(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_compare_rejects_a_single_run_before_running(tmp_path, capsys):
+    # the rank-sum marks need two runs per arm; one run used to write both
+    # arms' files and then fail in the comparison
+    base = write_config(tmp_path, "base.json", base_config("nested"))
+    variant = write_config(tmp_path, "variant.json", base_config("cr"))
+    out_dir = tmp_path / "x"
+    out_dir.mkdir()
+    assert main(["compare", "--config", base, "--variant-config", variant,
+                 "--out", str(out_dir), "--runs", "1"]) == 2
+    assert "at least 2 runs" in capsys.readouterr().err
+    assert os.listdir(out_dir) == []
+
+
 def test_compare_rejects_one_mode_on_both_sides(tmp_path, capsys):
     # both arms would write tq_nested_seed*.json, the variant's over the base's
     base = write_config(tmp_path, "base.json", base_config("nested", runs=2))
@@ -263,6 +276,30 @@ def test_suite_runs_pairs_and_reports_errors(tmp_path, capsys):
 
     text = (out_dir / "suite.csv").read_text()
     assert text.strip().splitlines()[-1].startswith("# Average R_rs,")
+
+
+def test_suite_keeps_each_pair_files_records_apart(tmp_path, capsys):
+    # same problem and modes, so the run files of both pairs share names
+    pair_dir = tmp_path / "pairs"
+    pair_dir.mkdir()
+    short = dict(FAST_TERMINATION, fes_u_max=30)
+    for pop in (6, 8):
+        (pair_dir / f"pop{pop}.json").write_text(json.dumps({
+            side: base_config(mode, runs=2, upper={"pop_size": pop}, termination=short)
+            for side, mode in (("base", "nested"), ("variant", "cr"))
+        }))
+    out_dir = tmp_path / "suite_out"
+    assert main(["suite", "--config", str(pair_dir), "--out", str(out_dir)]) == 0
+    assert sorted(os.listdir(out_dir)) == ["pop6", "pop8", "suite.csv", "suite.json"]
+    for pop in (6, 8):
+        sub = out_dir / f"pop{pop}"
+        assert "compare_tq_nested_vs_cr.json" in os.listdir(sub)
+        for mode in ("nested", "cr"):
+            for seed in (0, 1):
+                with open(sub / f"tq_{mode}_seed{seed}.json") as fh:
+                    assert json.load(fh)["pop_size_upper"] == pop
+    with open(out_dir / "suite.json") as fh:
+        assert len(json.load(fh)["rows"]) == 2
 
 
 def test_suite_lets_unexpected_errors_propagate(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 import crblea.crframework as crf
 from crblea import (
+    ConfigurationError,
     ContractViolationError,
     HarnessConfig,
     NetConfig,
@@ -18,13 +19,10 @@ from crblea import (
     UpperIndividual,
     pgr,
     retrain,
-    run_cr_blea,
-    run_nested_blea,
+    run_single,
 )
-from crblea.problems import get_problem
 from crblea.ranknet import _PARAM_NAMES, model_accuracy, pdp, scale_init_to_batch, train
 
-TOY = get_problem("tq")
 IDENTITY = Normalizer(np.tile([0.0, 1.0], (2, 1)))
 
 
@@ -143,7 +141,7 @@ class TestTrainingPools:
 
     def test_first_training_when_the_pool_reaches_the_trigger(self, monkeypatch):
         generations, trainings = record_run(monkeypatch)
-        record = run_cr_blea(TOY, self.CFG, seed=0)
+        record = run_single(self.CFG, 0)
         trigger = record.pool_trigger
         assert record.trainings_done >= 3 and len(trainings) == record.trainings_done
 
@@ -159,7 +157,7 @@ class TestTrainingPools:
     def test_diverging_runs_keep_emptying_the_pool(self, monkeypatch):
         _, trainings = record_run(monkeypatch)
         monkeypatch.setattr(crf, "train", diverge)
-        record = run_cr_blea(TOY, self.CFG, seed=0)
+        record = run_single(self.CFG, 0)
         assert record.trainings_done == 0 and record.model_acc_history == []
         assert len(trainings) >= 3
         for _, pool in trainings:
@@ -264,46 +262,45 @@ class TestPgr:
 
 class TestFullRun:
     def test_mode_validation(self):
-        with pytest.raises(ContractViolationError):
-            run_cr_blea(TOY, small_config(mode="nested"), seed=0)
+        with pytest.raises(ConfigurationError):
+            run_single(small_config(mode="bogus"), 0)
 
-    @pytest.mark.parametrize("mode", ["cr", "cr_no_net", "cr_no_resample"])
+    @pytest.mark.parametrize("mode", ["nested", "cr", "cr_no_net", "cr_no_resample"])
     def test_modes_complete(self, mode):
-        record = run_cr_blea(TOY, small_config(mode=mode), seed=1)
+        record = run_single(small_config(mode=mode), 1)
         assert record.mode == mode
         assert record.fes_t == record.fes_u + record.fes_l
         assert record.stop_reason in ("budget", "stagnation", "target")
 
     def test_seeded_determinism(self):
-        r1 = run_cr_blea(TOY, small_config(), seed=5)
-        r2 = run_cr_blea(TOY, small_config(), seed=5)
+        r1 = run_single(small_config(), 5)
+        r2 = run_single(small_config(), 5)
         assert r1.to_dict() == r2.to_dict()
 
     def test_no_net_mode_never_trains(self):
-        record = run_cr_blea(TOY, small_config(mode="cr_no_net"), seed=2)
+        record = run_single(small_config(mode="cr_no_net"), 2)
         assert record.trainings_done == 0
         assert record.model_acc_history == []
 
     def test_no_resample_mode_never_resamples(self):
-        record = run_cr_blea(TOY, small_config(mode="cr_no_resample"), seed=2)
+        record = run_single(small_config(mode="cr_no_resample"), 2)
         assert record.resamplings == 0
 
     def test_trainings_recorded(self):
-        record = run_cr_blea(TOY, small_config(), seed=3)
+        record = run_single(small_config(), 3)
         assert record.trainings_done >= 1
         assert record.pool_trigger >= 2
         # the old network is scored once per retraining after the first
         assert len(record.model_acc_history) <= max(0, record.trainings_done - 1)
 
 
-def capped_problem_and_config(n_u=6):
-    """A setup whose lower-level tasks always run to the exact FE cap.
+def capped_config(n_u=6):
+    """A config whose lower-level tasks always run to the exact FE cap.
 
     The lower stagnation window never fires (epsilon is tiny and the
     landscape is nondegenerate), so every task costs exactly fes_l_max and
     per-generation lower-FE spending is directly observable in the trace.
     """
-    p = get_problem("tq")
     rule = TerminationRule(
         fes_u_max=20 * n_u,
         fes_u_var_window=10**6,  # never stagnates within the budget
@@ -315,13 +312,12 @@ def capped_problem_and_config(n_u=6):
     cfg = HarnessConfig(problem="tq", mode="cr",
                         upper=UpperConfig(pop_size=n_u),
                         termination=rule, net=NetConfig(q=2, epochs=20))
-    return p, cfg
+    return cfg
 
 
 def test_lower_fe_cap_halves_after_transition():
     n_u = 6
-    p, cfg = capped_problem_and_config(n_u)
-    record = run_cr_blea(p, cfg, seed=0)
+    record = run_single(capped_config(n_u), 0)
     assert record.trainings_done >= 1
     deltas = [b[0] - a[0] for a, b in zip(record.trace, record.trace[1:])]
     # warm-up generation: N_u tasks of exactly 40 lower FEs + N_u upper FEs;

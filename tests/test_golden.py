@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crblea import EvalLedger, TerminationRule
+from crblea import EvalLedger, HarnessConfig, TerminationRule, UpperConfig
 from crblea.cli import run_single
 from crblea.problems import evaluate_lower, evaluate_upper, get_problem, make_smd, problem_names
 from _corpus import CACHE_DIR, protocol_config
@@ -83,6 +83,27 @@ SHORT_RUNS = {
 def test_short_run_record_sha1(name):
     cfg, digest = SHORT_RUNS[name]
     assert _sha1(run_single(cfg, 0)) == digest
+
+
+# Short "cr" runs at upper populations that are not a multiple of 4:
+# (problem, upper pop_size, seed) -> sha1.  A pop_size of 0 is the published
+# formula, 5 on smd6.  ``ranking_scores`` may give a row other last bits
+# when it falls in a batch's tail, past the last multiple of 4 rows, so a
+# parent scored again in a later generation can tie or order differently.
+# Each parent keeps the score it got when it was scored
+# (``UpperIndividual.rank_score``); both records move if ``pgr`` rescores
+# the parents every generation.
+ODD_POP_RUNS = {
+    ("smd6", 0, 3): "822ec7c3eeb5db55fdbe35512978fea143669ccb",
+    ("smd2", 6, 1): "b2b929cf32bec4d10fe08a54493487ed3246b987",
+}
+
+
+@pytest.mark.parametrize("problem, pop_size, seed", sorted(ODD_POP_RUNS))
+def test_odd_population_cr_record_sha1(problem, pop_size, seed):
+    cfg = HarnessConfig(problem, mode="cr", upper=UpperConfig(pop_size=pop_size),
+                        termination=TerminationRule(fes_u_max=600, fes_l_max=120))
+    assert _sha1(run_single(cfg, seed)) == ODD_POP_RUNS[problem, pop_size, seed]
 
 
 # sha1 over (f, F, feasible, FEASIBLE, g, G) of 64 uniform points per problem.

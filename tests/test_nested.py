@@ -17,7 +17,6 @@ from crblea import (
     UpperIndividual,
     environmental_selection,
     lower_level_search,
-    run_nested_blea,
 )
 from crblea.cli import run_single
 from crblea.nested import check_upper_termination, upper_variation
@@ -185,7 +184,7 @@ def test_upper_variation_count_and_bounds():
 
 class TestFullRun:
     def test_toy_run_record_consistency(self):
-        record = run_nested_blea(TOY, small_config(), seed=3)
+        record = run_single(small_config(), 3)
         assert record.problem == "tq" and record.mode == "nested"
         assert record.fes_t == record.fes_u + record.fes_l
         assert record.fes_u <= 120
@@ -196,15 +195,15 @@ class TestFullRun:
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
     def test_seeded_determinism(self):
-        r1 = run_nested_blea(TOY, small_config(), seed=11)
-        r2 = run_nested_blea(TOY, small_config(), seed=11)
+        r1 = run_single(small_config(), 11)
+        r2 = run_single(small_config(), 11)
         assert r1.to_dict() == r2.to_dict()
 
     def test_population_formula_recorded(self):
-        record = run_nested_blea(get_problem("smd1"), HarnessConfig(
+        record = run_single(HarnessConfig(
             problem="smd1",
             termination=TerminationRule(fes_u_max=30, fes_u_var_window=10),
-        ), seed=0)
+        ), 0)
         assert record.pop_size_upper == 5  # 4 + floor(ln(2 + 3))
         assert record.pop_size_lower == 5  # 4 + floor(ln(3))
         assert "4+floor(ln(m+n))" in record.pop_formula
@@ -258,9 +257,9 @@ class TestWarmStart:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(nested, "lower_level_search", recording)
-        run_nested_blea(p, HarnessConfig(
+        run_single(HarnessConfig(
             problem="smd1", upper=UpperConfig(pop_size=20),
-            termination=TerminationRule(fes_u_max=25)), seed=0)
+            termination=TerminationRule(fes_u_max=25)), 0)
         assert starts[0] is None
         assert len(starts) == 25 and all(s is not None for s in starts[1:])
 
