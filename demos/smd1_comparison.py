@@ -20,16 +20,14 @@ RUNS = 3
 
 
 def main():
-    base = HarnessConfig(problem="smd1", mode="nested", runs=RUNS,
-                         upper=UpperConfig(pop_size=20))
-    variant = HarnessConfig(problem="smd1", mode="cr", runs=RUNS,
-                            upper=UpperConfig(pop_size=20))
+    base = HarnessConfig(problem="smd1", mode="nested", upper=UpperConfig(pop_size=20))
+    variant = HarnessConfig(problem="smd1", mode="cr", upper=UpperConfig(pop_size=20))
 
     print(f"running {RUNS} seeded runs per mode on smd1 (this takes a minute)...")
-    nested = execute_runs(base)
+    nested = list(execute_runs([(base, seed) for seed in range(RUNS)]))
     for r in nested:
         print(f"  nested seed {r.seed}: FEs_t={r.fes_t}  acc_u={r.acc_u:.1e}")
-    gated = execute_runs(variant)
+    gated = list(execute_runs([(variant, seed) for seed in range(RUNS)]))
     for r in gated:
         print(f"  cr     seed {r.seed}: FEs_t={r.fes_t}  acc_u={r.acc_u:.1e}  "
               f"trainings={r.trainings_done}  resamples={r.resamplings}")

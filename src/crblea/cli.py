@@ -58,22 +58,29 @@ def write_record(record: RunRecord, cfg: HarnessConfig, out_dir):
     return stem
 
 
-def execute_runs(cfg: HarnessConfig, jobs=1):
-    """All seeded runs for one config (seeds base_seed .. base_seed+runs-1),
-    on at most ``jobs`` worker processes, one per core and run at most."""
-    seeds = [cfg.base_seed + i for i in range(cfg.runs)]
-    workers = min(jobs, os.cpu_count() or 1, len(seeds))
+def execute_runs(tasks, jobs=1):
+    """The records of ``tasks``, a list of ``(config, seed)`` pairs, yielded in
+    task order.
+
+    The runs go to ``min(jobs, cores, len(tasks))`` worker processes; one
+    worker means they run here, one after another.  Each record is yielded as
+    soon as it and every record before it have finished.
+    """
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_single, [cfg] * len(seeds), seeds))
-    return [run_single(cfg, s) for s in seeds]
+            yield from pool.map(run_single, *zip(*tasks))
+    else:
+        for cfg, seed in tasks:
+            yield run_single(cfg, seed)
 
 
 def cmd_run(cfg: HarnessConfig, jobs=1, out_dir=None):
     out_dir = out_dir or cfg.output_dir
-    records = execute_runs(cfg, jobs=jobs)
+    tasks = [(cfg, cfg.base_seed + i) for i in range(cfg.runs)]
+    records = list(execute_runs(tasks, jobs=jobs))
     for record in records:
         write_record(record, cfg, out_dir)
     summary = aggregate(records)

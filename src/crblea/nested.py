@@ -61,13 +61,6 @@ class UpperIndividual:
         return self
 
 
-def _violation(cons):
-    """Summed positive excess of an infeasible point's constraints.  Callers
-    take 0.0 for a point the evaluation reports feasible, which is what the
-    sum would give."""
-    return float(np.add.reduce(np.maximum(cons, 0.0)))
-
-
 def lower_level_search(p: ProblemSpec, x_u, cfg: LowerConfig, rule: TerminationRule,
                        ledger: EvalLedger, rng, *, start=None):
     """Optimize ``f(x_u, .)`` until the task budget or stagnation window hits.
@@ -86,9 +79,9 @@ def lower_level_search(p: ProblemSpec, x_u, cfg: LowerConfig, rule: TerminationR
     budget = rule.fes_l_max
 
     def objective(x_l):
-        f, g, feasible = evaluate_lower(p, x_u, x_l, ledger)
+        f, _, violation = evaluate_lower(p, x_u, x_l, ledger)
         hist.append(f)
-        return f, 0.0 if feasible else _violation(g)
+        return f, violation
 
     # The stagnation window watches the raw evaluated objective values: it
     # fires only when every candidate sampled in the last window lands within
@@ -215,8 +208,7 @@ class NestedRun:
         start = self.archive.nearest(ind.x_u, cfg.lower.pop_size)
         ind.x_l_star, ind.f_star = lower_level_search(self.p, ind.x_u, cfg.lower, cfg.termination,
                                                       self.ledger, rng=self.rng, start=start)
-        ind.F, G, feasible = evaluate_upper(self.p, ind.x_u, ind.x_l_star, self.ledger)
-        ind.violation = 0.0 if feasible else _violation(G)
+        ind.F, _, ind.violation = evaluate_upper(self.p, ind.x_u, ind.x_l_star, self.ledger)
         return ind
 
     def resolve(self, x_u) -> UpperIndividual:

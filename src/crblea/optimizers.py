@@ -3,11 +3,12 @@ the upper level and CMA-ES for the lower level.  Only their population sizes
 are configured; every other setting is a module constant.
 
 CMA-ES minimizes an objective ``obj(x) -> (fitness, violation)`` inside a
-box, where ``violation`` is the summed positive constraint excess (0 means
-feasible).  Selection at both levels is feasibility-first (``_ff_key``):
-feasible beats infeasible, feasible points compare by fitness, infeasible
-points by violation.  Candidates are clipped to the box before evaluation,
-so every call to the objective costs exactly one function evaluation.
+box, where ``violation`` is the summed positive constraint excess, 0 when
+feasible, as ``problems.evaluate_lower`` returns it.  Selection at both
+levels is feasibility-first (``_ff_key``): feasible beats infeasible,
+feasible points compare by fitness, infeasible points by violation.
+Candidates are clipped to the box before evaluation, so every call to the
+objective costs exactly one function evaluation.
 """
 
 import functools

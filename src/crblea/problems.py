@@ -3,7 +3,9 @@
 A bilevel problem couples an upper-level objective ``F(x_u, x_l)`` with a
 lower-level objective ``f(x_u, x_l)``: only the lower-level optimum ``x_l*``
 for a given ``x_u`` yields a valid upper-level evaluation.  Constraints at
-both levels follow the "<= 0 is feasible" convention.
+both levels follow the "<= 0 is feasible" convention, and an evaluation
+reduces them to one violation number: 0.0 for a feasible point, the summed
+positive excess otherwise.
 
 Provided instances:
 
@@ -71,8 +73,9 @@ def _check_point(p: ProblemSpec, x_u, x_l):
 
 
 def _checked(p: ProblemSpec, level, value, cons, x_u, x_l):
-    """Coerce one evaluation to ``(value, cons, feasible)`` after rejecting
-    non-finite results."""
+    """Coerce one evaluation to ``(value, cons, violation)`` after rejecting
+    non-finite results.  The violation is 0.0 when every constraint holds and
+    the summed positive excess of the constraints otherwise."""
     value = float(value)
     cons = np.asarray(cons, dtype=float)
     # A handful of constraints is checked faster as Python floats than by
@@ -80,13 +83,16 @@ def _checked(p: ProblemSpec, level, value, cons, x_u, x_l):
     c = cons.ravel().tolist() if cons.size else ()
     if not (math.isfinite(value) and all(map(math.isfinite, c))):
         raise EvaluationError(f"{p.name}: non-finite {level} evaluation", x_u=x_u, x_l=x_l)
-    return value, cons, not c or max(c) <= 0.0
+    if not c or max(c) <= 0.0:
+        return value, cons, 0.0
+    return value, cons, float(_sum(np.maximum(cons, 0.0)))
 
 
 def evaluate_upper(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
     """Evaluate ``F`` and the upper constraints, consuming one upper-level FE.
 
-    Returns ``(F, G, feasible)`` with ``feasible`` iff every ``G_j <= 0``.
+    Returns ``(F, G, violation)``; the violation is 0.0 iff every
+    ``G_j <= 0`` (see ``_checked``).
     """
     x_u, x_l = _check_point(p, x_u, x_l)
     F, G = p.upper(x_u, x_l)
@@ -95,7 +101,8 @@ def evaluate_upper(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
 
 
 def evaluate_lower(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
-    """Evaluate ``f`` and the lower constraints, consuming one lower-level FE."""
+    """Evaluate ``f`` and the lower constraints, consuming one lower-level FE;
+    returns ``(f, g, violation)`` as ``evaluate_upper`` does."""
     x_u, x_l = _check_point(p, x_u, x_l)
     f, g = p.lower(x_u, x_l)
     ledger.count_lower()

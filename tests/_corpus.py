@@ -1,11 +1,16 @@
 """Shared corpus of seeded experiment runs for the acceptance tests.
 
 A single run takes 1-50 s (median 3.4 s), and the acceptance checks need
-308 of them (about 35 min on one core), so finished runs are cached as JSON
-under ``tests/_cache``.  The cache key is (problem, mode, seed) inside a
-directory named after the experiment protocol; changing the protocol below
-changes the directory and invalidates the cache.  Running this module as a
-script pre-computes the whole corpus:
+308 of them, so finished runs are cached as JSON under ``tests/_cache``.
+The cache key is (problem, mode, seed) inside a directory named after the
+experiment protocol; changing the protocol below changes the directory and
+invalidates the cache.  A change to the code does not: a cached record is
+used whatever the current code would compute.  To check the cache against
+the code, empty the protocol directory in a copy of the checkout, run this
+script there and compare the JSON files byte for byte with the committed
+ones.  Running this module as a script computes every missing record on
+all cores (about 7 min for the whole corpus on 2 cores) and stores each as
+it arrives, so a rerun after an interruption computes only what is missing:
 
     python3 tests/_corpus.py
 """
@@ -16,7 +21,7 @@ import sys
 import time
 
 from crblea import HarnessConfig, RunRecord, UpperConfig
-from crblea.cli import run_single
+from crblea.cli import execute_runs, run_single
 
 # Experiment protocol: the published termination settings with an upper
 # population of 20.  The published 4+floor(ln(m+n)) sizing (5 for m=2, n=3)
@@ -38,18 +43,27 @@ def protocol_config(problem, mode):
                          upper=UpperConfig(pop_size=UPPER_POP))
 
 
-def record_for(problem, mode, seed):
-    """One cached seeded run under the acceptance protocol."""
-    path = os.path.join(CACHE_DIR, f"{problem}_{mode}_seed{seed}.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return RunRecord.from_dict(json.load(fh))
-    record = run_single(protocol_config(problem, mode), seed)
+def _cache_path(problem, mode, seed):
+    return os.path.join(CACHE_DIR, f"{problem}_{mode}_seed{seed}.json")
+
+
+def _store(path, record):
+    """Write one record to the cache; the rename makes it appear whole or not at all."""
     os.makedirs(CACHE_DIR, exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
         json.dump(record.to_dict(), fh)
     os.replace(tmp, path)
+
+
+def record_for(problem, mode, seed):
+    """One cached seeded run under the acceptance protocol."""
+    path = _cache_path(problem, mode, seed)
+    if os.path.exists(path):
+        with open(path) as fh:
+            return RunRecord.from_dict(json.load(fh))
+    record = run_single(protocol_config(problem, mode), seed)
+    _store(path, record)
     return record
 
 
@@ -70,18 +84,27 @@ def corpus_jobs():
 
 
 def main():
+    """Print one line per corpus record: the cached ones first, then each
+    uncached one as it arrives from the runs on every core, which stores it."""
     jobs = list(corpus_jobs())
-    done = 0
+    cached, todo = [], []
+    for job in jobs:
+        (cached if os.path.exists(_cache_path(*job)) else todo).append(job)
+    tasks = [(protocol_config(problem, mode), seed) for problem, mode, seed in todo]
     t0 = time.time()
-    for problem, mode, seed in jobs:
-        t1 = time.time()
-        cached = os.path.exists(os.path.join(CACHE_DIR, f"{problem}_{mode}_seed{seed}.json"))
-        r = record_for(problem, mode, seed)
-        done += 1
-        status = "cache" if cached else f"{time.time() - t1:5.1f}s"
+
+    def report(done, job, r, status):
+        problem, mode, seed = job
         print(f"[{done}/{len(jobs)}] {problem} {mode} seed {seed}: fes_t={r.fes_t} "
               f"acc_u={r.acc_u:.2e} stop={r.stop_reason} ({status}, "
               f"total {(time.time() - t0) / 60:.1f} min)", flush=True)
+
+    for done, job in enumerate(cached, 1):
+        report(done, job, record_for(*job), "cache")
+    records = execute_runs(tasks, jobs=os.cpu_count() or 1)
+    for done, (job, r) in enumerate(zip(todo, records), len(cached) + 1):
+        _store(_cache_path(*job), r)
+        report(done, job, r, "run")
 
 
 if __name__ == "__main__":

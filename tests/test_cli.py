@@ -153,14 +153,15 @@ def test_jobs_below_one_rejected(tmp_path, capsys, command, jobs):
 
 @pytest.fixture(scope="module")
 def sequential_cr_runs():
-    cfg = cli.harness_config_from_dict(base_config("cr"))  # 3 runs
-    return cfg, [r.to_dict() for r in cli.execute_runs(cfg)]
+    cfg = cli.harness_config_from_dict(base_config("cr"))
+    tasks = [(cfg, seed) for seed in range(3)]
+    return tasks, [r.to_dict() for r in cli.execute_runs(tasks)]
 
 
 @pytest.mark.parametrize("jobs, cores, sizes", [(4, 2, [2]), (8, 16, [3]), (2, 16, [2]), (3, 1, [])])
 def test_parallel_runs_capped_and_equal_to_sequential(monkeypatch, sequential_cr_runs,
                                                       jobs, cores, sizes):
-    cfg, sequential = sequential_cr_runs
+    tasks, sequential = sequential_cr_runs
     pools = []
 
     @contextlib.contextmanager
@@ -170,16 +171,22 @@ def test_parallel_runs_capped_and_equal_to_sequential(monkeypatch, sequential_cr
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
-    parallel = [r.to_dict() for r in cli.execute_runs(cfg, jobs=jobs)]
+    parallel = [r.to_dict() for r in cli.execute_runs(tasks, jobs=jobs)]
     assert pools == sizes  # one core: no pool at all
     assert parallel == sequential
 
 
 def test_worker_processes_equal_sequential(monkeypatch, sequential_cr_runs):
-    # a real two-worker pool: the config itself travels to the workers
-    cfg, sequential = sequential_cr_runs
+    # a real two-worker pool: the configs themselves travel to the workers
+    tasks, sequential = sequential_cr_runs
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    assert [r.to_dict() for r in cli.execute_runs(cfg, jobs=2)] == sequential
+    assert [r.to_dict() for r in cli.execute_runs(tasks, jobs=2)] == sequential
+    # records of mixed problems, modes and seeds come back in task order
+    mixed = [(cli.harness_config_from_dict(base_config("cr", problem="smd1")), 0)]
+    mixed += [(cli.harness_config_from_dict(base_config(mode)), seed)
+              for mode in ("nested", "cr") for seed in (0, 1)]
+    assert ([r.to_dict() for r in cli.execute_runs(mixed, jobs=2)]
+            == [cli.run_single(cfg, seed).to_dict() for cfg, seed in mixed])
 
 
 def test_compare_rejects_mismatched_problems(tmp_path, capsys):

@@ -135,9 +135,9 @@ def _evaluations_sha1(p):
     for _ in range(64):
         x_u = rng.uniform(p.upper_bounds[:, 0], p.upper_bounds[:, 1])
         x_l = rng.uniform(p.lower_bounds[:, 0], p.lower_bounds[:, 1])
-        f, g, feasible = evaluate_lower(p, x_u, x_l, ledger)
-        F, G, upper_feasible = evaluate_upper(p, x_u, x_l, ledger)
-        h.update(np.array([f, F, feasible, upper_feasible], dtype=float).tobytes()
+        f, g, violation = evaluate_lower(p, x_u, x_l, ledger)
+        F, G, upper_violation = evaluate_upper(p, x_u, x_l, ledger)
+        h.update(np.array([f, F, violation == 0, upper_violation == 0], dtype=float).tobytes()
                  + g.tobytes() + G.tobytes())
     assert (ledger.fes_l, ledger.fes_u) == (64, 64)
     return h.hexdigest()

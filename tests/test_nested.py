@@ -163,7 +163,7 @@ class TestUpperTermination:
 def test_resolve_keeps_the_elitist_history(monkeypatch):
     run = NestedRun(TOY, small_config(), seed=0)
     Fs = iter((5.0, 7.0, 2.0, 3.0))
-    monkeypatch.setattr(nested, "evaluate_upper", lambda *args: (next(Fs), np.empty(0), True))
+    monkeypatch.setattr(nested, "evaluate_upper", lambda *args: (next(Fs), np.empty(0), 0.0))
     for _ in range(4):
         run.resolve(np.zeros(2))
     assert run.history == [5.0, 5.0, 2.0, 2.0]

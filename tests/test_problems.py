@@ -52,12 +52,12 @@ def test_optimum_point_attains_optimum(name):
     p = get_problem(name)
     x_u, x_l = p.optimum_point
     ledger = EvalLedger()
-    F, G, feas_u = evaluate_upper(p, x_u, x_l, ledger)
-    f, g, feas_l = evaluate_lower(p, x_u, x_l, ledger)
+    F, G, viol_u = evaluate_upper(p, x_u, x_l, ledger)
+    f, g, viol_l = evaluate_lower(p, x_u, x_l, ledger)
     F_r, f_r = p.optimum
     assert F == pytest.approx(F_r, abs=1e-9)
     assert f == pytest.approx(f_r, abs=1e-9)
-    assert feas_u and feas_l
+    assert viol_u == viol_l == 0.0
 
 
 @pytest.mark.parametrize("name", ALL_SMD + ["tq"])
@@ -152,10 +152,15 @@ def test_non_finite_constraint_raises(bad, where):
     ([-1.0, 5e-324], False),  # the least positive double
 ])
 def test_finite_constraints_give_the_exact_feasibility_flag(cons, feasible):
+    # the violation is 0.0 exactly at a feasible point, the summed positive
+    # excess (inf once that sum overflows) elsewhere
     p = constrained(cons)
+    excess = 0.0 if feasible else sum(max(c, 0.0) for c in cons)
     for evaluate in (evaluate_upper, evaluate_lower):
-        _, out, flag = evaluate(p, [0.0], [0.0], EvalLedger())
-        assert flag is feasible
+        with np.errstate(over="ignore"):  # numpy warns as the first case's sum overflows
+            _, out, violation = evaluate(p, [0.0], [0.0], EvalLedger())
+        assert (violation == 0.0) is feasible
+        assert type(violation) is float and violation == excess
         assert out.tobytes() == np.array(cons, dtype=float).tobytes()
 
 
@@ -165,9 +170,9 @@ def test_smd9_constraints_active_away_from_integers():
     # sum of squares 0.3 -> fractional part 0.3 > 0: infeasible at both levels
     x_u = np.array([np.sqrt(0.3), 0.0])
     x_l = np.array([np.sqrt(0.3), 0.0, 0.0])
-    _, G, feas_u = evaluate_upper(p, x_u, x_l, ledger)
-    _, g, feas_l = evaluate_lower(p, x_u, x_l, ledger)
-    assert not feas_u and not feas_l
+    _, G, viol_u = evaluate_upper(p, x_u, x_l, ledger)
+    _, g, viol_l = evaluate_lower(p, x_u, x_l, ledger)
+    assert viol_u > 0.0 and viol_l > 0.0
     assert G.shape == (1,) and g.shape == (1,)
 
 
