@@ -21,8 +21,6 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ConfigurationError
 
-_sum = np.add.reduce
-
 # Least initial CMA-ES step per axis of a warm start, in box widths.  A wider
 # floor makes a nearly resolved start search too wide a region: at 1e-3 and
 # 1e-2 the nested baseline's median FEs rose on 9 and 10 of the 10 protocol
@@ -144,21 +142,16 @@ class CmaState:
         self.population = self._initial_points(start)
         self._evaluate(self.population, objective)
 
-        # the means and the standard deviation below are the sums that
-        # np.mean and np.std compute, without their per-call wrappers
         widths = self.high - self.low
         if start is None:
-            mean_width = float(_sum(widths) / d)
+            mean_width = float(widths.mean())
             self.sigma = CMA_SIGMA0 * mean_width
             scale = widths / mean_width
         else:
             # A warm start sizes each axis by how far its starting points
             # disagree, floored so that a collapsed start can still move.
-            P = self.population
-            dev = P - _sum(P, axis=0) / len(P)
-            std = np.sqrt(_sum(dev**2, axis=0) / len(P))
-            spread = np.maximum(std, WARM_SPREAD_FLOOR * widths)
-            self.sigma = float(_sum(spread) / d)
+            spread = np.maximum(self.population.std(axis=0), WARM_SPREAD_FLOOR * widths)
+            self.sigma = float(spread.mean())
             scale = spread / self.sigma
         self.C = np.diag(scale**2)
         self.pc = np.zeros(d)

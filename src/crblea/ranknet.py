@@ -289,43 +289,21 @@ def pdp(pool, normalizer) -> PairDataset:
     return _paired(pool, normalizer, labels)
 
 
-def _pair_loss(dataset: PairDataset):
-    """``loss_and_grads(params)`` over ``dataset``: the mean BCE and its flat
-    gradient.  Its per-pair arrays are allocated once and reused by every
-    call, so one training allocates them once, not once per epoch."""
-    X, ia, ib, labels = dataset.X, dataset.ia, dataset.ib, dataset.labels
-    B, P = len(labels), len(X)
-    complement = 1.0 - labels
-    buffers = (*(np.empty(B) for _ in range(5)), np.empty(B, dtype=bool))
-
-    def loss_and_grads(params):
-        d, e, log_term, a, b, up = buffers
-        S, cache = _forward_cached(params, X)
-        np.subtract(S.take(ia), S.take(ib), out=d)
-        # softplus(+-d) = log1p(e) + max(+-d, 0) and sigmoid(d) share
-        # e = exp(-|d|).  Each line below is one elementwise step of
-        # labels * (log_term + max(-d, 0)) + (1 - labels) * (log_term + max(d, 0)),
-        # summed by add.reduce / B (np.mean without its wrapper).
-        np.exp(np.negative(np.abs(d, out=e), out=e), out=e)
-        np.log1p(e, out=log_term)
-        np.maximum(np.negative(d, out=a), 0.0, out=a)
-        a += log_term
-        a *= labels
-        np.maximum(d, 0.0, out=b)
-        b += log_term
-        b *= complement
-        a += b
-        loss = float(np.add.reduce(a) / B)
-        # dL/dd = (sigmoid(d) - labels) / B, sigmoid(d) as _sigmoid computes it
-        np.add(e, 1.0, out=b)
-        np.copyto(e, 1.0, where=np.greater_equal(d, 0.0, out=up))
-        e /= b
-        e -= labels
-        e /= B
-        dS = np.bincount(ia, e, P) - np.bincount(ib, e, P)
-        return loss, _backward(params, cache, dS)
-
-    return loss_and_grads
+def _loss_and_grads(params, dataset: PairDataset):
+    """The mean BCE over ``dataset`` and its gradient, laid out as
+    ``params.theta``."""
+    labels = dataset.labels
+    S, cache = _forward_cached(params, dataset.X)
+    d = S.take(dataset.ia) - S.take(dataset.ib)
+    # softplus(+-d) = log1p(e) + max(+-d, 0) with e = exp(-|d|) <= 1, finite
+    # for any finite d
+    log_term = np.log1p(np.exp(-np.abs(d)))
+    loss = float(np.mean(labels * (log_term + np.maximum(-d, 0.0))
+                         + (1.0 - labels) * (log_term + np.maximum(d, 0.0))))
+    dd = (_sigmoid(d) - labels) / len(labels)  # dL/dd
+    P = len(dataset.X)
+    dS = np.bincount(dataset.ia, dd, P) - np.bincount(dataset.ib, dd, P)
+    return loss, _backward(params, cache, dS)
 
 
 def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
@@ -340,16 +318,11 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
     if len(dataset) == 0:
         raise ContractViolationError("cannot train on an empty dataset")
     out = params.copy()
-    theta = out.theta  # Adam updates every weight array at once
-    adam_m = np.zeros_like(theta)
-    adam_v = np.zeros_like(theta)
-    step = np.empty_like(theta)
-    scale = np.empty_like(theta)
-    loss_and_grads = _pair_loss(dataset)
+    adam_m = adam_v = np.zeros_like(out.theta)  # rebound each step, never written into
     best_loss = math.inf
     since_improvement = 0
     for t in range(1, epochs + 1):
-        loss, grads = loss_and_grads(out)
+        loss, grads = _loss_and_grads(out, dataset)
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite training loss {loss!r}")
         out.loss_curve.append(loss)
@@ -360,23 +333,12 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
             since_improvement += 1
             if since_improvement >= stop_patience:
                 break
-        # in place, one elementwise step at a time:
-        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-        # theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-        adam_m *= ADAM_BETA1
-        adam_m += (1 - ADAM_BETA1) * grads
-        adam_v *= ADAM_BETA2
-        grads *= grads
-        grads *= 1 - ADAM_BETA2
-        adam_v += grads
-        np.divide(adam_m, 1 - ADAM_BETA1**t, out=step)
-        step *= lr
-        np.divide(adam_v, 1 - ADAM_BETA2**t, out=scale)
-        np.sqrt(scale, out=scale)
-        scale += ADAM_EPS
-        step /= scale
-        theta -= step
-    final_loss, _ = loss_and_grads(out)
+        adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grads
+        adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * (grads * grads)
+        # in place: every named weight is a view of theta
+        out.theta -= (lr * (adam_m / (1 - ADAM_BETA1**t))
+                      / (np.sqrt(adam_v / (1 - ADAM_BETA2**t)) + ADAM_EPS))
+    final_loss, _ = _loss_and_grads(out, dataset)
     if not math.isfinite(final_loss):
         raise TrainingDivergenceError(f"non-finite training loss {final_loss!r}")
     out.loss_curve.append(final_loss)

@@ -8,9 +8,10 @@ invalidates the cache.  A change to the code does not: a cached record is
 used whatever the current code would compute.  To check the cache against
 the code, empty the protocol directory in a copy of the checkout, run this
 script there and compare the JSON files byte for byte with the committed
-ones.  Running this module as a script computes every missing record on
-all cores (about 7 min for the whole corpus on 2 cores) and stores each as
-it arrives, so a rerun after an interruption computes only what is missing:
+ones.  The tests only read the cache: a missing record raises an error
+naming this script.  Running it computes every missing record on all cores
+(about 7 min for the whole corpus on 2 cores) and stores each as it
+arrives, so a rerun after an interruption computes only what is missing:
 
     python3 tests/_corpus.py
 """
@@ -21,7 +22,7 @@ import sys
 import time
 
 from crblea import HarnessConfig, RunRecord, UpperConfig
-from crblea.cli import execute_runs, run_single
+from crblea.cli import execute_runs
 
 # Experiment protocol: the published termination settings with an upper
 # population of 20.  The published 4+floor(ln(m+n)) sizing (5 for m=2, n=3)
@@ -59,12 +60,11 @@ def _store(path, record):
 def record_for(problem, mode, seed):
     """One cached seeded run under the acceptance protocol."""
     path = _cache_path(problem, mode, seed)
-    if os.path.exists(path):
-        with open(path) as fh:
-            return RunRecord.from_dict(json.load(fh))
-    record = run_single(protocol_config(problem, mode), seed)
-    _store(path, record)
-    return record
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no cached corpus record {path}; "
+                                "compute the missing records with: python3 tests/_corpus.py")
+    with open(path) as fh:
+        return RunRecord.from_dict(json.load(fh))
 
 
 def records_for(problem, mode):

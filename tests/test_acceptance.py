@@ -2,10 +2,10 @@
 
 Each test covers one numbered criterion and prints a single PASS/FAIL line
 (run pytest with ``-s`` to see them for passing tests).  The experiment-backed
-criteria (1-5) read the shared cached run corpus (see ``_corpus.py``); run
-``python3 tests/_corpus.py`` beforehand to pre-compute it, otherwise the
-first pytest invocation computes the runs itself and takes a few hours on one
-core.
+criteria (1-5) read the shared cached run corpus (see ``_corpus.py``), which
+is committed whole.  A record missing from it fails its test with an error
+that names ``python3 tests/_corpus.py``, the script that computes every
+missing record on all cores.
 """
 
 import statistics

@@ -215,9 +215,9 @@ def test_limited_step_draws_the_whole_generation():
 
 @pytest.mark.parametrize("pop, d", [(2, 1), (5, 3), (6, 3), (9, 7)])
 def test_initial_step_sizes_equal_the_numpy_statistics(pop, d):
-    # init_search takes its means and standard deviation as add.reduce sums;
-    # they must equal np.mean and np.std bit for bit, boxes of unequal width
-    # and starts clipped to the box included
+    # init_search sizes its steps from np.mean and np.std of the box widths
+    # and of the warm start, boxes of unequal width and starts clipped to the
+    # box included
     rng = np.random.default_rng(pop * 10 + d)
     bounds = np.stack([-rng.uniform(1, 9, d), rng.uniform(1, 9, d)], axis=1)
     widths = bounds[:, 1] - bounds[:, 0]

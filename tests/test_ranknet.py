@@ -31,7 +31,7 @@ from crblea.ranknet import (
     subnet_batch,
     _PARAM_NAMES,
     _layout,
-    _pair_loss,
+    _loss_and_grads,
 )
 
 
@@ -92,7 +92,7 @@ def test_pair_loss_matches_per_pair_evaluation():
     # mean BCE over every pair scored on its own.
     params = fresh_params()
     pool = make_pool(np.random.default_rng(1).normal(size=7))
-    loss, _ = _pair_loss(pdp(pool, IDENTITY))(params)
+    loss, _ = _loss_and_grads(params, pdp(pool, IDENTITY))
     assert loss == pytest.approx(pair_loop_loss(params, pool), rel=1e-12)
 
 
@@ -109,13 +109,13 @@ def test_duplicate_points_share_one_row():
     assert np.array_equal(ds.X, np.unique(rows, axis=0))
 
     params = fresh_params(seed=13)
-    loss, grads = _pair_loss(ds)(params)
+    loss, grads = _loss_and_grads(params, ds)
     assert loss == pytest.approx(pair_loop_loss(params, pool), rel=1e-12)
     # the same pairs over one row per pool member, duplicates kept apart
     i, j = np.nonzero(~np.eye(N, dtype=bool))
     F = np.array([ind.F for ind in pool])
     copies = PairDataset(rows, i, j, (np.sign(F[j] - F[i]) + 1.0) / 2.0)
-    copy_loss, copy_grads = _pair_loss(copies)(params)
+    copy_loss, copy_grads = _loss_and_grads(params, copies)
     assert copy_loss == pytest.approx(loss, rel=1e-12)
     assert np.allclose(grads, copy_grads, rtol=1e-10, atol=1e-15)
 
@@ -210,15 +210,14 @@ class TestPairForward:
 
 def numeric_gradients(params, dataset, eps=1e-6):
     # central differences on each entry of theta, which every weight array views
-    loss_and_grads = _pair_loss(dataset)
     theta = params.theta
     grads = np.zeros_like(theta)
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + eps
-        lp, _ = loss_and_grads(params)
+        lp, _ = _loss_and_grads(params, dataset)
         theta[i] = orig - eps
-        lm, _ = loss_and_grads(params)
+        lm, _ = _loss_and_grads(params, dataset)
         theta[i] = orig
         grads[i] = (lp - lm) / (2 * eps)
     return grads
@@ -236,7 +235,7 @@ def gradient_relative_error(seed, m=2, n=2, q=3, batch=6):
     ia, ib = rng.integers(0, batch, (2, batch))
     labels = rng.choice([0.0, 0.5, 1.0], size=batch)
     ds = PairDataset(X, ia, ib, labels)
-    _, a = _pair_loss(ds)(params)
+    _, a = _loss_and_grads(params, ds)
     nmr = numeric_gradients(params, ds)
     # compare whole gradient vectors: per-block normalization misreads
     # finite-difference noise on identically-zero blocks (dead ReLU rows)
@@ -247,6 +246,42 @@ def gradient_relative_error(seed, m=2, n=2, q=3, batch=6):
 def test_gradients_match_finite_differences():
     for seed in range(3):
         assert gradient_relative_error(seed) <= 1e-4
+
+
+def softplus(t):
+    return math.log1p(math.exp(-abs(t))) + max(t, 0.0)
+
+
+def test_loss_at_zero_and_saturated_score_gaps():
+    # S = 1250 relu(relu(x0)) on [0.2, 0.3], [0.2, 0.9] and [1.0, 0.5]: pair
+    # gaps of exactly 0 and of +-1000, where exp(-|d|) underflows to 0.  The
+    # loss must be the softplus closed form, sigmoid(d) exactly 0.5, 1 or 0,
+    # and every gradient entry finite
+    params = RankNetParams.init(2, 2, 2, np.random.default_rng(0))
+    params.theta[:] = 0.0
+    params.W1[0, 0] = params.W2[0, 0] = 1.0
+    params.w3[0] = 1250.0
+    X = np.array([[0.2, 0.3], [0.2, 0.9], [1.0, 0.5]])
+    assert subnet_batch(params, X).tolist() == [250.0, 250.0, 1250.0]
+    ia = np.array([0, 1, 2, 2, 0, 1, 2, 0])
+    ib = np.array([1, 0, 0, 1, 2, 2, 0, 2])
+    labels = np.array([1.0, 0.5, 1.0, 0.0, 0.0, 1.0, 0.5, 0.5])
+    d = [0.0, 0.0, 1000.0, 1000.0, -1000.0, -1000.0, 1000.0, -1000.0]
+    sigmoid = {0.0: 0.5, 1000.0: 1.0, -1000.0: 0.0}
+    loss, grads = _loss_and_grads(params, PairDataset(X, ia, ib, labels))
+
+    expected = np.mean([l * softplus(-t) + (1.0 - l) * softplus(t) for l, t in zip(labels, d)])
+    assert math.isfinite(loss) and loss == pytest.approx(expected, rel=1e-12)
+    assert np.all(np.isfinite(grads))
+    # dS/dw3[0] = x0 and dS/dW2[0, 0] = dS/dW1[0, 0] = 1250 x0, dS/dW1[0, 1]
+    # = 1250 x1; every other weight moves no score or every score alike
+    g = (np.array([sigmoid[t] for t in d]) - labels) / len(labels)
+    dx0, dx1 = (g @ (X[ia] - X[ib])).tolist()
+    ref = RankNetParams(2, 2, 2, np.zeros_like(params.theta))
+    ref.w3[0] = dx0
+    ref.W2[0, 0] = ref.W1[0, 0] = 1250.0 * dx0
+    ref.W1[0, 1] = 1250.0 * dx1
+    assert np.allclose(grads, ref.theta, rtol=1e-12, atol=1e-12)
 
 
 def test_training_separable_data():
@@ -274,10 +309,9 @@ def test_train_equals_adam_on_each_weight_array():
     ref = params.copy()
     m = {k: np.zeros_like(getattr(ref, k)) for k in _PARAM_NAMES}
     v = {k: np.zeros_like(getattr(ref, k)) for k in _PARAM_NAMES}
-    loss_and_grads = _pair_loss(ds)
     curve = []
     for t in range(1, epochs + 1):
-        loss, flat = loss_and_grads(ref)
+        loss, flat = _loss_and_grads(ref, ds)
         grads = {k: flat[sl].reshape(shape) for k, sl, shape in _layout(2, 3, 6)}
         curve.append(loss)
         for k in _PARAM_NAMES:
@@ -286,7 +320,7 @@ def test_train_equals_adam_on_each_weight_array():
             m_hat = m[k] / (1 - ADAM_BETA1**t)
             v_hat = v[k] / (1 - ADAM_BETA2**t)
             setattr(ref, k, getattr(ref, k) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    curve.append(loss_and_grads(ref)[0])
+    curve.append(_loss_and_grads(ref, ds)[0])
 
     trained = train(params, ds, epochs=epochs, lr=lr, stop_patience=epochs + 1)
     assert trained.loss_curve == curve
@@ -296,9 +330,10 @@ def test_train_equals_adam_on_each_weight_array():
 
 def test_train_bits_pinned():
     # A 40-point pool with six duplicate points and F ties, set up as
-    # crframework.retrain sets up a training event; the sha1 of the
-    # loss curve and of the trained weights were captured before the loss
-    # and the Adam update were rewritten to work in place.
+    # crframework.retrain sets up a training event; the sha1s of the loss
+    # curve and of the trained weights pin the arithmetic of every recorded
+    # training bit for bit, so a rewrite of the loss or of the Adam step
+    # must keep each element's operations in their order.
     rng = np.random.default_rng(40)
     X = rng.uniform(-5.0, 10.0, (40, 2))
     X[34:] = X[[0, 3, 3, 7, 11, 20]]
