@@ -34,8 +34,7 @@ def main():
     run = NestedRun(p, HarnessConfig(problem="smd1", upper=UpperConfig(pop_size=20)), SEED)
     rng = run.rng  # the network draws its initial weights from the run's stream first
 
-    net_cfg = NetConfig()
-    q = net_cfg.width_for(p.m, p.n)
+    q = NetConfig.width_for(p.m, p.n)
     params = RankNetParams.init(p.m, p.n, q, rng)
     trigger = pool_trigger_size(params)
     print(f"network width q={q}, {params.param_count} parameters "
@@ -52,7 +51,7 @@ def main():
     dataset = pdp(pool, normalizer)
     print(f"\ntraining on {len(dataset)} ordered pairs...")
     scale_init_to_batch(params, dataset.X[dataset.ia], rng)
-    trained = train(params, dataset, epochs=net_cfg.epochs)
+    trained = train(params, dataset)
     print(f"  BCE loss {trained.loss_curve[0]:.3f} -> {trained.loss_curve[-1]:.3f} "
           f"in {len(trained.loss_curve)} epochs")
     print(f"  pairwise ranking accuracy on the pool: {model_accuracy(trained, dataset):.3f}")

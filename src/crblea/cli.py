@@ -4,8 +4,8 @@ Verbs:
 
 * ``run``: execute N seeded runs of one (problem, mode) config, writing one
   JSON record and one CSV convergence trace per run.
-* ``compare``: run a base and a variant config (two modes, one problem) and
-  emit one table row (medians, Wilcoxon marks, resource-saving rate).
+* ``compare``: run a base and a variant config (two modes, one problem and
+  upper population); emit a row of medians, Wilcoxon marks and saving rate.
 * ``suite``: run ``compare`` for every pair-config file in a directory, each
   into its own subdirectory, and append an average resource-saving footer.
 * ``list-problems``: print the registry.
@@ -136,6 +136,9 @@ def cmd_compare(cfg_base: HarnessConfig, cfg_variant: HarnessConfig, jobs=1, out
     if (config_fingerprint(cfg_base.problem, cfg_base.termination)
             != config_fingerprint(cfg_variant.problem, cfg_variant.termination)):
         raise ConfigurationError("compare: both configs must use the same termination settings")
+    pops = [cfg.resolved(get_problem(cfg.problem)).upper.pop_size for cfg in (cfg_base, cfg_variant)]
+    if pops[0] != pops[1]:  # the saving rate would measure the population, not the gate
+        raise ConfigurationError(f"compare: both configs must use the same upper population, got {pops}")
     out_dir = out_dir or cfg_base.output_dir
     base_records = cmd_run(cfg_base, jobs=jobs, out_dir=out_dir)
     variant_records = cmd_run(cfg_variant, jobs=jobs, out_dir=out_dir)

@@ -3,7 +3,6 @@
 import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import get_args
 
 from .errors import ConfigurationError
 from .nested import TerminationRule
@@ -38,13 +37,14 @@ class HarnessConfig:
     # task ends at f* 4.3e-7, tasks use 159 FEs on average and 41% reach the
     # cap.
     upper: UpperConfig = field(default_factory=UpperConfig)
-    lower: LowerConfig = field(default_factory=LowerConfig)
     termination: TerminationRule = field(default_factory=TerminationRule)
     net: NetConfig = field(default_factory=NetConfig)
     runs: int = 21
     base_seed: int = 0
     output_dir: str = "results"
-    # how the population sizes were chosen; set by resolved(), so no config key
+    # set by resolved(), so no config keys: the lower population, which always
+    # takes its formula, and how the population sizes were chosen
+    lower: LowerConfig = field(default_factory=LowerConfig, init=False)
     pop_formula: str = field(default="", init=False)
 
     def __post_init__(self):
@@ -61,32 +61,27 @@ class HarnessConfig:
         if self.base_seed < 0:
             raise ConfigurationError("base_seed: must be >= 0")
         self.termination.validate()
-        self.net.validate()
         return self
 
     def resolved(self, p: ProblemSpec):
         """Copy with population sizes filled in from the problem dimensions.
 
-        A pop_size of 0 (the default) means "use the published formula"; any
-        explicit value is an override and is recorded as such.  The lower
-        budget must cover the lower population, or no task could report a
-        best point.
+        An upper pop_size of 0 (the default) means "use the published
+        formula"; any explicit value is an override and is recorded as such.
+        The lower population always takes its formula.  The lower budget must
+        cover the lower population, or no task could report a best point.
         """
-        upper, lower = self.upper, self.lower
-        formula = [f"upper=override({upper.pop_size})", f"lower=override({lower.pop_size})"]
+        upper, formula = self.upper, f"upper=override({self.upper.pop_size})"
         if upper.pop_size == 0:
             upper = replace(upper, pop_size=default_upper_pop(p.m, p.n))
-            formula[0] = f"upper={POP_FORMULA_UPPER}"
-        if lower.pop_size == 0:
-            lower = replace(lower, pop_size=default_lower_pop(p.n))
-            formula[1] = f"lower={POP_FORMULA_LOWER}"
-        cfg = replace(self, upper=upper, lower=lower)
-        cfg.pop_formula = "; ".join(formula)
+            formula = f"upper={POP_FORMULA_UPPER}"
+        cfg = replace(self, upper=upper)
+        cfg.lower = LowerConfig(pop_size=default_lower_pop(p.n))
+        cfg.pop_formula = f"{formula}; lower={POP_FORMULA_LOWER}"
         cfg.upper.validate()
-        cfg.lower.validate()
-        if cfg.termination.fes_l_max < lower.pop_size:
+        if cfg.termination.fes_l_max < cfg.lower.pop_size:
             raise ConfigurationError(f"termination.fes_l_max: {cfg.termination.fes_l_max} "
-                                     f"cannot cover a lower population of {lower.pop_size}")
+                                     f"cannot cover a lower population of {cfg.lower.pop_size}")
         return cfg.validate()
 
 
@@ -114,18 +109,13 @@ def _build(cls, data, path):
 
 def _fits(annotation, value):
     """Whether a parsed JSON value fits a field's annotation: a bool is no
-    number, a float must be finite (an int is one), and Optional[X] also
-    takes null."""
-    if annotation is type(None):
-        return value is None
+    number, a float must be finite (an int is one), and null fits nothing."""
     if annotation is bool or isinstance(value, bool):
         return annotation is bool and isinstance(value, bool)
     if annotation is float:
         # false for NaN, and for infinities and ints no float can hold
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if annotation in (int, str):
-        return isinstance(value, annotation)
-    return any(_fits(arg, value) for arg in get_args(annotation))
+    return isinstance(value, annotation)
 
 
 def harness_config_from_dict(data, path="config") -> HarnessConfig:

@@ -34,8 +34,8 @@ from .ranknet import (
 )
 
 
-def retrain(pool, params: RankNetParams, net_cfg, rng):
-    """Train a fresh network generation on the evaluated individuals ``pool``.
+def retrain(pool, params: RankNetParams, rng):
+    """Train a new generation of ``params``' width on the evaluated individuals ``pool``.
 
     Returns ``(params, accuracy_entry)`` where ``accuracy_entry`` is the old
     network's pairwise accuracy on the fresh dataset (None when the old
@@ -55,7 +55,7 @@ def retrain(pool, params: RankNetParams, net_cfg, rng):
     # each pool point repeated N-1 times, the batch the recorded runs scaled on
     scale_init_to_batch(base, dataset.X[dataset.ia], rng)
     try:
-        return train(base, dataset, epochs=net_cfg.epochs), acc
+        return train(base, dataset), acc
     except TrainingDivergenceError:
         return params, acc  # keep the previous network generation
 
@@ -128,7 +128,7 @@ def run_single(cfg, seed):
             run.generation([candidates[i] for i in chosen])
         else:
             if len(pool) >= trigger:
-                params, acc = retrain(pool, params, cfg.net, net_rng)
+                params, acc = retrain(pool, params, net_rng)
                 pool = []
                 if acc is not None:
                     model_acc_history.append(acc)

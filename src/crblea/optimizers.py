@@ -46,7 +46,7 @@ class UpperConfig:
 
 @dataclass
 class LowerConfig:
-    """Lower-level CMA-ES population.  pop_size 0 means "use the formula"."""
+    """Lower-level CMA-ES population, sized by ``HarnessConfig.resolved``."""
 
     pop_size: int = 0
 

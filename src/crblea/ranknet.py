@@ -15,11 +15,10 @@ pairwise-comparison cycles are possible).
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, TrainingDivergenceError
+from .errors import ContractViolationError, TrainingDivergenceError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -30,22 +29,14 @@ TRAIN_STOP_EPS = 1e-5  # least loss improvement that resets train's patience cou
 
 @dataclass
 class NetConfig:
-    q: Optional[int] = None  # hidden width; None -> max(8, m + n + 3)
-    epochs: int = 200
     psi_relu: bool = True  # ReLU after the mapping layer (linear otherwise)
 
-    def validate(self):
-        if self.q is not None and self.q < 1:
-            raise ConfigurationError("net.q: must be >= 1 or null")
-        if self.epochs < 1:
-            raise ConfigurationError("net.epochs: must be >= 1")
-        return self
-
-    def width_for(self, m, n):
+    @staticmethod
+    def width_for(m, n):
         # A narrow net keeps the parameter count (and hence the pool size
         # needed before the first training) small, so the ranking phase can
         # start while the population is still informative.
-        return self.q if self.q is not None else max(8, m + n + 3)
+        return max(8, m + n + 3)
 
 
 class Normalizer:

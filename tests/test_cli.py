@@ -24,7 +24,7 @@ def base_config(mode="nested", **extra):
         "runs": 3,
         "upper": {"pop_size": 6},
         "termination": dict(FAST_TERMINATION),
-        "net": {"q": 2},
+        "net": {"psi_relu": True},
     }
     cfg.update(extra)
     return cfg
@@ -243,6 +243,18 @@ def test_compare_rejects_unequal_termination_before_running(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_compare_rejects_unequal_upper_population_before_running(tmp_path, capsys):
+    # a saving between two population sizes would measure the population;
+    # 0 is compared as tq's formula size, 4 + floor(ln 4) = 5
+    base = write_config(tmp_path, "base.json", base_config("nested", upper={"pop_size": 0}))
+    variant = write_config(tmp_path, "variant.json", base_config("cr"))
+    out_dir = tmp_path / "x"
+    assert main(["compare", "--config", base, "--variant-config", variant,
+                 "--out", str(out_dir)]) == 2
+    assert "same upper population, got [5, 6]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_problem_name_case_is_one_problem(tmp_path, capsys):
     # "TQ" names the registry's "tq": compare accepts the pair, and every file
     # of the run carries the registry name
@@ -368,8 +380,8 @@ def test_unknown_config_key(tmp_path, capsys):
 @pytest.mark.parametrize("section,key,value", [
     ("termination", "fes_u_max", 0),
     ("upper", "pop_size", "20"),
-    ("net", "q", 0),
-    ("net", "epochs", -1),
+    ("net", "q", 0),  # not a key: the width is NetConfig.width_for
+    ("net", "epochs", -1),  # not a key: train's epoch budget is fixed
     ("net", "lr", 0),  # not a key: the learning rate is ranknet.ADAM_LR
     ("termination", "target_acc", float("inf")),
     ("termination", "lower_var_eps", float("nan")),

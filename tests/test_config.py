@@ -52,13 +52,7 @@ def test_resolved_records_overrides():
     assert "override(20)" in cfg.pop_formula
 
 
-def test_resolved_records_a_lower_override():
-    cfg = HarnessConfig(lower=LowerConfig(pop_size=8)).resolved(get_problem("smd1"))
-    assert (cfg.upper.pop_size, cfg.lower.pop_size) == (5, 8)
-    assert cfg.pop_formula == "upper=4+floor(ln(m+n)); lower=override(8)"
-
-
-@pytest.mark.parametrize("data", [{"termination": {"fes_u_max": 1000}}, {"net": {"epochs": 50}}])
+@pytest.mark.parametrize("data", [{"termination": {"fes_u_max": 1000}}, {"net": {"psi_relu": False}}])
 def test_omitted_fields_take_the_harness_defaults(data):
     cfg = harness_config_from_dict(data).resolved(get_problem("smd1"))
     assert (cfg.upper.pop_size, cfg.lower.pop_size) == (5, 5)
@@ -84,15 +78,13 @@ class TestFromDict:
             "runs": 3,
             "base_seed": 7,
             "upper": {"pop_size": 20},
-            "lower": {"pop_size": 6},
             "termination": {"fes_u_max": 100},
-            "net": {"q": 4},
+            "net": {"psi_relu": False},
         })
         assert cfg.problem == "smd2" and cfg.mode == "cr"
         assert cfg.upper.pop_size == 20
-        assert cfg.lower.pop_size == 6
         assert cfg.termination.fes_u_max == 100
-        assert cfg.net.q == 4
+        assert cfg.net.psi_relu is False
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigurationError, match="config.engine"):
@@ -110,16 +102,18 @@ class TestFromDict:
     @pytest.mark.parametrize("section,key,old_default", [
         ("upper", "de_scale", 0.5), ("upper", "de_crossover", 0.9),
         ("lower", "cma_sigma0", 0.3), ("net", "lr", 0.1),
+        ("net", "q", None), ("net", "epochs", 200), ("lower", "pop_size", 0),
     ])
     def test_fixed_setting_is_not_a_key(self, section, key, old_default):
-        # constants of optimizers and ranknet, refused even at their value
-        with pytest.raises(ConfigurationError, match=f"config.{section}.{key}: unknown key"):
+        # constants of optimizers and ranknet, and the lower population's
+        # formula, refused even at their value
+        with pytest.raises(ConfigurationError, match=f"{unknown_path(section, key)}: unknown key"):
             harness_config_from_dict({section: {key: old_default}})
 
     @pytest.mark.parametrize("section", ["upper", "lower"])
     def test_engine_seed_is_not_a_key(self, section):
         # every search draws from its run's generator, seeded by base_seed
-        with pytest.raises(ConfigurationError, match=f"config.{section}.seed"):
+        with pytest.raises(ConfigurationError, match=f"{unknown_path(section, 'seed')}: unknown key"):
             harness_config_from_dict({section: {"seed": 3}})
 
     def test_scalar_type_checked(self):
@@ -139,7 +133,8 @@ class TestFromDict:
     @pytest.mark.parametrize("section,key,value", [
         ("upper", "pop_size", "20"), ("upper", "pop_size", 20.0),
         ("termination", "target_acc", True),
-        ("termination", "target_acc", None), ("net", "q", 2.5), ("net", "psi_relu", 1),
+        ("termination", "target_acc", None), ("termination", "fes_l_max", 2.5),
+        ("net", "psi_relu", 1),
         ("termination", "upper_var_eps", float("nan")),
         ("termination", "lower_var_eps", float("inf")),
         ("termination", "target_acc", float("inf")),
@@ -151,8 +146,8 @@ class TestFromDict:
             harness_config_from_dict({section: {key: value}})
 
     def test_section_value_types_accepted(self):
-        cfg = harness_config_from_dict({"termination": {"target_acc": 1}, "net": {"q": None}})
-        assert cfg.termination.target_acc == 1 and cfg.net.q is None
+        cfg = harness_config_from_dict({"termination": {"target_acc": 1}, "net": {"psi_relu": False}})
+        assert cfg.termination.target_acc == 1 and cfg.net.psi_relu is False
         assert type(cfg.termination.target_acc) is float
 
     def test_an_int_and_the_equal_float_share_a_fingerprint(self):
@@ -163,6 +158,12 @@ class TestFromDict:
     def test_not_an_object(self):
         with pytest.raises(ConfigurationError):
             harness_config_from_dict([1, 2, 3])
+
+
+def unknown_path(section, key):
+    """The path an unknown-key error names: the lower level's one value is
+    its population formula, so "lower" is itself no key."""
+    return "config.lower" if section == "lower" else f"config.{section}.{key}"
 
 
 def init_fields(cls):
@@ -178,5 +179,5 @@ def test_readme_config_block_loads():
     schema = json.loads(blocks[0])
     assert sorted(schema) == init_fields(HarnessConfig)
     for f in fields(HarnessConfig):
-        if is_dataclass(f.type):
+        if f.init and is_dataclass(f.type):
             assert sorted(schema[f.name]) == init_fields(f.type), f.name

@@ -10,7 +10,6 @@ from crblea import (
     ConfigurationError,
     ContractViolationError,
     HarnessConfig,
-    NetConfig,
     Normalizer,
     RankNetParams,
     TerminationRule,
@@ -32,7 +31,6 @@ def small_config(mode="cr", **kwargs):
         mode=mode,
         upper=UpperConfig(pop_size=6),
         termination=TerminationRule(fes_u_max=150, fes_u_var_window=40),
-        net=NetConfig(q=2),
     )
     defaults.update(kwargs)
     return HarnessConfig(**defaults)
@@ -51,18 +49,17 @@ class TestRetrain:
     def setup_method(self):
         self.rng = np.random.default_rng(0)
         self.params = RankNetParams.init(2, 2, 2, self.rng, normalizer=IDENTITY)
-        self.net_cfg = NetConfig(q=2, epochs=30)
 
     def test_first_training_has_no_accuracy_entry(self):
         pool = evaluated_pool(self.rng, 8)
-        params, acc = retrain(pool, self.params, self.net_cfg, self.rng)
+        params, acc = retrain(pool, self.params, self.rng)
         assert acc is None  # nothing trained yet, so nothing to test
         assert params.generation_id == 1
         assert len(pool) == 8  # the run loop, not retrain, empties the pool
 
     def test_second_refill_reports_old_model_accuracy(self):
-        params, _ = retrain(evaluated_pool(self.rng, 8), self.params, self.net_cfg, self.rng)
-        params2, acc = retrain(evaluated_pool(self.rng, 8), params, self.net_cfg, self.rng)
+        params, _ = retrain(evaluated_pool(self.rng, 8), self.params, self.rng)
+        params2, acc = retrain(evaluated_pool(self.rng, 8), params, self.rng)
         assert params2.generation_id == 2
         assert acc is not None and 0.0 <= acc <= 1.0
 
@@ -81,14 +78,14 @@ class TestRetrain:
         old = RankNetParams.init(2, 2, 2, self.rng, generation_id=1, normalizer=wide)
         assert len(pdp(entries, wide).X) == 9 and len(pdp(entries, Normalizer.fit(X)).X) == 10
 
-        params, acc = retrain(entries, old, self.net_cfg, np.random.default_rng(5))
+        params, acc = retrain(entries, old, np.random.default_rng(5))
 
         rng = np.random.default_rng(5)
         ref_acc = model_accuracy(old, pdp(entries, wide))
         base = RankNetParams.init(2, 2, 2, rng, generation_id=1, normalizer=Normalizer.fit(X))
         ds = pdp(entries, base.normalizer)
         scale_init_to_batch(base, ds.X[ds.ia], rng)
-        ref = train(base, ds, epochs=self.net_cfg.epochs)
+        ref = train(base, ds)
         assert acc is not None and acc == ref_acc
         assert params.loss_curve == ref.loss_curve
         for k in _PARAM_NAMES:
@@ -96,16 +93,16 @@ class TestRetrain:
 
     def test_new_generation_carries_a_map_fitted_to_its_pool(self):
         pool = [evaluated([0.4 + 0.01 * i, 0.7 - 0.02 * i], float(i)) for i in range(8)]
-        params, _ = retrain(pool, self.params, self.net_cfg, self.rng)
+        params, _ = retrain(pool, self.params, self.rng)
         assert self.params.normalizer is IDENTITY
         assert np.allclose(params.normalizer([0.4, 0.56]), [0.0, 0.0])
         assert np.allclose(params.normalizer([0.47, 0.7]), [1.0, 1.0])
 
     def test_divergence_keeps_the_previous_network(self, monkeypatch):
         pool = evaluated_pool(self.rng, 8)
-        old, _ = retrain(pool, self.params, self.net_cfg, self.rng)
+        old, _ = retrain(pool, self.params, self.rng)
         monkeypatch.setattr(crf, "train", diverge)
-        params, acc = retrain(pool, old, self.net_cfg, self.rng)
+        params, acc = retrain(pool, old, self.rng)
         assert params is old
         assert acc is not None and acc == model_accuracy(old, pdp(pool, old.normalizer))
 
@@ -311,7 +308,7 @@ def capped_config(n_u=6):
     )
     cfg = HarnessConfig(problem="tq", mode="cr",
                         upper=UpperConfig(pop_size=n_u),
-                        termination=rule, net=NetConfig(q=2, epochs=20))
+                        termination=rule)
     return cfg
 
 

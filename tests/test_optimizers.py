@@ -61,9 +61,10 @@ def final_points(engine, bounds, generations, seed=0):
 
 class TestConfigValidation:
     def test_unknown_kind(self):
-        # each level has one engine, so the engine is not a knob at all
-        for level in ("upper", "lower"):
-            with pytest.raises(ConfigurationError, match=f"{level}.kind: unknown key"):
+        # each level has one engine, so the engine is not a knob at all; the
+        # lower level has no key left, its population takes the formula
+        for level, path in (("upper", "upper.kind"), ("lower", "config.lower")):
+            with pytest.raises(ConfigurationError, match=f"{path}: unknown key"):
                 harness_config_from_dict({level: {"kind": "de"}})
 
     def test_de_needs_four(self):

@@ -56,9 +56,6 @@ class TestNetConfig:
         assert NetConfig().width_for(2, 3) == 8
         assert NetConfig().width_for(7, 7) == 17
 
-    def test_explicit_width(self):
-        assert NetConfig(q=12).width_for(2, 3) == 12
-
 
 def test_normalizer_maps_box_to_unit_cube():
     norm = Normalizer(np.array([[-5.0, 10.0], [0.0, 2.0]]))
