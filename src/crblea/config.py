@@ -29,13 +29,6 @@ def default_lower_pop(n):
 class HarnessConfig:
     problem: str = "smd1"
     mode: str = "nested"
-    # A cold lower-level task (uniform start, sigma0 0.3 of the box) does not
-    # resolve the lower level within the 250-FE budget: at 60 random x_u its
-    # median residual f* is 7e-4 on SMD1, 1.3e-3 on SMD2, 0.36 on SMD5 and
-    # 1.5 on SMD8.  Within a run only the first task is cold; later ones start
-    # from the nearest resolved responses: on nested SMD1 seed 0 the median
-    # task ends at f* 4.3e-7, tasks use 159 FEs on average and 41% reach the
-    # cap.
     upper: UpperConfig = field(default_factory=UpperConfig)
     termination: TerminationRule = field(default_factory=TerminationRule)
     net: NetConfig = field(default_factory=NetConfig)
@@ -44,6 +37,14 @@ class HarnessConfig:
     output_dir: str = "results"
     # set by resolved(), so no config keys: the lower population, which always
     # takes its formula, and how the population sizes were chosen
+    #
+    # A cold lower-level task (uniform start, sigma0 0.3 of the box) does not
+    # resolve the lower level within the 250-FE budget: at 60 random x_u its
+    # median residual f* is 7e-4 on SMD1, 1.3e-3 on SMD2, 0.36 on SMD5 and
+    # 1.5 on SMD8.  Within a run only the first task is cold; later ones start
+    # from the nearest resolved responses: on nested SMD1 seed 0 the median
+    # task ends at f* 4.3e-7, tasks use 159 FEs on average and 41% reach the
+    # cap.
     lower: LowerConfig = field(default_factory=LowerConfig, init=False)
     pop_formula: str = field(default="", init=False)
 

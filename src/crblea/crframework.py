@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolationError, TrainingDivergenceError
+from .errors import TrainingDivergenceError
 # bench/tracer.py wraps both names here, so they stay importable from this module
 from .nested import NestedRun, environmental_selection, upper_variation  # noqa: F401
 from .problems import get_problem
@@ -60,36 +60,25 @@ def retrain(pool, params: RankNetParams, rng):
         return params, acc  # keep the previous network generation
 
 
-def pgr(params, P_u, variation, N_u, allow_resample=True):
+def pgr(params, P_u, variation, allow_resample=True):
     """Population generation with ranking and resampling.
 
-    ``variation`` produces a list of offspring x_u vectors, scored through
-    ``params.normalizer``.  When even the best of them scores below the best
-    parent, one more batch is drawn and scored alongside.  Returns the
-    ceil(N_u / 2) top-scoring offspring as ``(x_u, score)`` pairs, ties in
-    the order drawn, plus a flag telling whether resampling fired.  Parents
-    must carry scores from the current network generation.
+    The current network scores the parents ``P_u`` and the offspring x_u
+    vectors that ``variation`` draws, through ``params.normalizer``.  When
+    even the best offspring scores below the best parent, one more batch is
+    drawn and scored alongside.  Returns the ceil(len(P_u) / 2) top-scoring
+    offspring, ties in the order drawn, and whether resampling fired.
     """
-    parent_scores = [ind.rank_score for ind in P_u]
-    if any(s is None for s in parent_scores):
-        raise ContractViolationError("pgr requires parents scored by the current network")
-    k = math.ceil(N_u / 2)
-
+    parent_scores = ranking_scores(params, params.normalizer(np.array([ind.x_u for ind in P_u])))
     offspring = variation()
     scores = ranking_scores(params, params.normalizer(np.array(offspring)))
-    resampled = allow_resample and bool(scores.max() < max(parent_scores))
+    resampled = allow_resample and bool(scores.max() < parent_scores.max())
     if resampled:
         extra = variation()
         offspring = [*offspring, *extra]
         scores = np.concatenate([scores, ranking_scores(params, params.normalizer(np.array(extra)))])
-    order = np.argsort(-scores, kind="stable")[:k]
-    return [(offspring[i], float(scores[i])) for i in order], resampled
-
-
-def _refresh_scores(params, P_u):
-    scores = ranking_scores(params, params.normalizer(np.array([ind.x_u for ind in P_u])))
-    for ind, s in zip(P_u, scores):
-        ind.rank_score = float(s)
+    order = np.argsort(-scores, kind="stable")[:math.ceil(len(P_u) / 2)]
+    return [offspring[i] for i in order], resampled
 
 
 def run_single(cfg, seed):
@@ -110,7 +99,6 @@ def run_single(cfg, seed):
         trigger = pool_trigger_size(params)
 
     pool = list(run.start())
-    N_u = cfg.upper.pop_size
     model_acc_history = []
     resamplings = 0
 
@@ -124,7 +112,8 @@ def run_single(cfg, seed):
             run.generation(run.variation())
         elif cfg.mode == "cr_no_net":
             candidates = run.variation()
-            chosen = run.rng.choice(len(candidates), size=math.ceil(N_u / 2), replace=False)
+            chosen = run.rng.choice(len(candidates), size=math.ceil(len(candidates) / 2),
+                                    replace=False)
             run.generation([candidates[i] for i in chosen])
         else:
             if len(pool) >= trigger:
@@ -132,16 +121,10 @@ def run_single(cfg, seed):
                 pool = []
                 if acc is not None:
                     model_acc_history.append(acc)
-                _refresh_scores(params, run.P_u)
-            selected, resampled = pgr(
-                params, run.P_u, run.variation, N_u,
-                allow_resample=(cfg.mode != "cr_no_resample"),
-            )
+            selected, resampled = pgr(params, run.P_u, run.variation,
+                                      allow_resample=(cfg.mode != "cr_no_resample"))
             resamplings += int(resampled)
-            evaluated = run.generation([x_u for x_u, _ in selected])
-            for ind, (_, score) in zip(evaluated, selected):
-                ind.rank_score = score
-            pool.extend(evaluated)
+            pool.extend(run.generation(selected))
         stop_reason = run.stop_reason()
 
     return run.record(

@@ -52,7 +52,6 @@ class UpperIndividual:
     F: Optional[float] = None
     f_star: Optional[float] = None
     violation: float = 0.0  # 0 iff every upper constraint holds
-    rank_score: Optional[float] = None
     confirmed: bool = False  # lower level re-solved once from the archive
 
     def require_evaluated(self):

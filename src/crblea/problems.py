@@ -18,6 +18,7 @@ Provided instances:
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -83,9 +84,13 @@ def _checked(p: ProblemSpec, level, value, cons, x_u, x_l):
     c = cons.ravel().tolist() if cons.size else ()
     if not (math.isfinite(value) and all(map(math.isfinite, c))):
         raise EvaluationError(f"{p.name}: non-finite {level} evaluation", x_u=x_u, x_l=x_l)
-    if not c or max(c) <= 0.0:
+    if not c or (top := max(c)) <= 0.0:
         return value, cons, 0.0
-    return value, cons, float(_sum(np.maximum(cons, 0.0)))
+    # len(c) excesses of at most top each cannot sum past the double range
+    if top <= sys.float_info.max / (2 * len(c)):
+        return value, cons, float(_sum(np.maximum(cons, 0.0)))
+    with np.errstate(over="ignore"):  # a sum past the double range is the intended inf
+        return value, cons, float(_sum(np.maximum(cons, 0.0)))
 
 
 def evaluate_upper(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):

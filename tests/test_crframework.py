@@ -8,7 +8,6 @@ import pytest
 import crblea.crframework as crf
 from crblea import (
     ConfigurationError,
-    ContractViolationError,
     HarnessConfig,
     Normalizer,
     RankNetParams,
@@ -171,13 +170,19 @@ class FixedScores:
         return np.array([self.mapping[round(float(x[0]), 6)] for x in X])
 
 
-def make_parents(scores):
-    out = []
-    for i, s in enumerate(scores):
-        ind = evaluated([i, i], float(i))
-        ind.rank_score = s
-        out.append(ind)
-    return out
+PARENT_X0 = 100.0  # parents sit at x >= 100, apart from every offspring key
+
+
+def patch_scores(monkeypatch, offspring, parents):
+    """Patch the network to score offspring x -> ``offspring[x]`` and the
+    i-th returned parent -> ``parents[i]``."""
+    mapping = {**offspring, **{PARENT_X0 + i: s for i, s in enumerate(parents)}}
+    monkeypatch.setattr(crf, "ranking_scores", FixedScores(mapping))
+    return [evaluated([PARENT_X0 + i] * 2, float(i)) for i in range(len(parents))]
+
+
+def rows(*xs):
+    return [[x, x] for x in xs]
 
 
 class TestPgr:
@@ -189,47 +194,56 @@ class TestPgr:
         batches = iter(batches)
 
         def variation():
-            return list(np.array([[x, x] for x in next(batches)], dtype=float))
+            return list(np.array(rows(*next(batches)), dtype=float))
 
         return variation
 
     def test_returns_ceil_half(self, monkeypatch):
-        scores = {float(i): float(i) for i in range(10)}
-        monkeypatch.setattr(crf, "ranking_scores", FixedScores(scores))
-        parents = make_parents([0.1] * 5)
+        parents = patch_scores(monkeypatch, {float(i): float(i) for i in range(10)}, [0.1] * 5)
         variation = self.variation_factory([[0.0, 1.0, 2.0, 3.0, 4.0]])
-        kept, resampled = pgr(self.NET, parents, variation, N_u=5)
+        kept, resampled = pgr(self.NET, parents, variation)
         assert len(kept) == math.ceil(5 / 2) == 3
         assert not resampled
-        assert [k[1] for k in kept] == [4.0, 3.0, 2.0]
+        assert np.array(kept).tolist() == rows(4.0, 3.0, 2.0)
 
     def test_no_resample_when_offspring_beat_parents(self, monkeypatch):
-        monkeypatch.setattr(crf, "ranking_scores",
-                            FixedScores({1.0: 0.9, 2.0: 0.2, 3.0: 0.1, 4.0: 0.1}))
-        parents = make_parents([0.5, 0.4, 0.3, 0.2])
+        parents = patch_scores(monkeypatch, {1.0: 0.9, 2.0: 0.2, 3.0: 0.1, 4.0: 0.1},
+                               [0.5, 0.4, 0.3, 0.2])
         variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0]])
-        kept, resampled = pgr(self.NET, parents, variation, N_u=4)
-        assert not resampled and len(kept) == 2
+        kept, resampled = pgr(self.NET, parents, variation)
+        assert not resampled and np.array(kept).tolist() == rows(1.0, 2.0)
+
+    @pytest.mark.parametrize("best_parent, resamples", [(0.95, True), (0.85, False)])
+    def test_the_network_score_of_the_parents_decides(self, monkeypatch, best_parent,
+                                                      resamples):
+        # the same offspring, and only the network's score of one parent
+        # differs: resampling fires iff it tops every offspring
+        parents = patch_scores(monkeypatch, {
+            1.0: 0.5, 2.0: 0.9, 3.0: 0.6, 4.0: 0.7,
+            5.0: 0.99, 6.0: 0.0, 7.0: 0.0, 8.0: 0.0,
+        }, [0.1, best_parent, 0.2, 0.3])
+        variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+        kept, resampled = pgr(self.NET, parents, variation)
+        assert resampled is resamples
+        assert np.array(kept).tolist() == (rows(5.0, 2.0) if resamples else rows(2.0, 4.0))
 
     def test_single_resample_merges_both_batches(self, monkeypatch):
-        monkeypatch.setattr(crf, "ranking_scores", FixedScores({
+        parents = patch_scores(monkeypatch, {
             1.0: 0.10, 2.0: 0.20, 3.0: 0.05, 4.0: 0.01,  # first batch, all poor
             5.0: 0.90, 6.0: 0.15, 7.0: 0.01, 8.0: 0.02,  # resampled batch
-        }))
-        parents = make_parents([0.5, 0.4, 0.3, 0.2])
+        }, [0.5, 0.4, 0.3, 0.2])
         variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0],
                                             [5.0, 6.0, 7.0, 8.0]])
-        kept, resampled = pgr(self.NET, parents, variation, N_u=4)
+        kept, resampled = pgr(self.NET, parents, variation)
         assert resampled
-        assert [k[1] for k in kept] == [0.90, 0.20]
+        assert np.array(kept).tolist() == rows(5.0, 2.0)
 
     def test_resample_disabled(self, monkeypatch):
-        monkeypatch.setattr(crf, "ranking_scores",
-                            FixedScores({1.0: 0.1, 2.0: 0.05, 3.0: 0.01, 4.0: 0.0}))
-        parents = make_parents([0.5, 0.4, 0.3, 0.2])
+        parents = patch_scores(monkeypatch, {1.0: 0.1, 2.0: 0.05, 3.0: 0.01, 4.0: 0.0},
+                               [0.5, 0.4, 0.3, 0.2])
         variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0]])
-        kept, resampled = pgr(self.NET, parents, variation, N_u=4, allow_resample=False)
-        assert not resampled and [k[1] for k in kept] == [0.1, 0.05]
+        kept, resampled = pgr(self.NET, parents, variation, allow_resample=False)
+        assert not resampled and np.array(kept).tolist() == rows(1.0, 2.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_one_sort_equals_sorting_each_batch(self, monkeypatch, seed):
@@ -238,23 +252,17 @@ class TestPgr:
         # tie at the k-th score within and across the batches
         rng = np.random.default_rng(seed)
         levels = rng.choice([0.1, 0.2, 0.3], size=10)
-        monkeypatch.setattr(crf, "ranking_scores",
-                            FixedScores({float(i): s for i, s in enumerate(levels)}))
-        parents = make_parents([0.5, 0.4, 0.3, 0.2, 0.1, 0.0])
+        parents = patch_scores(monkeypatch, {float(i): s for i, s in enumerate(levels)},
+                               [0.5, 0.4, 0.3, 0.2, 0.1, 0.0])
         batches = [[0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0, 9.0]]
 
         def two_sorts(first, second, k):
             by_score = lambda xs: sorted(xs, key=lambda x: -levels[int(x)])  # noqa: E731
             return by_score(by_score(first)[:k] + second)[:k]
 
-        kept, resampled = pgr(self.NET, parents, self.variation_factory(batches), N_u=6)
+        kept, resampled = pgr(self.NET, parents, self.variation_factory(batches))
         assert resampled
-        assert [(x[0], s) for x, s in kept] == [(x, levels[int(x)]) for x in two_sorts(*batches, 3)]
-
-    def test_unscored_parents_rejected(self):
-        parents = make_parents([0.5, 0.4, None, 0.2])
-        with pytest.raises(ContractViolationError):
-            pgr(self.NET, parents, lambda: [], N_u=4)
+        assert np.array(kept).tolist() == rows(*two_sorts(*batches, 3))
 
 
 class TestFullRun:
