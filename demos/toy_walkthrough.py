@@ -14,7 +14,6 @@ import numpy as np
 from crblea import (
     EvalLedger,
     HarnessConfig,
-    LowerConfig,
     TerminationRule,
     UpperConfig,
     get_problem,
@@ -33,12 +32,11 @@ def main():
 
     print("\n-- lower-level search recovers the response mapping --")
     rng = np.random.default_rng(SEED)
-    cfg_lower = LowerConfig(pop_size=5)
     rule = TerminationRule()
     for _ in range(3):
         x_u = rng.uniform(-3, 3, p.m)
         ledger = EvalLedger()
-        x_l, f = lower_level_search(p, x_u, cfg_lower, rule, ledger, rng=rng)
+        x_l, f = lower_level_search(p, x_u, 5, rule, ledger, rng=rng)
         err = np.max(np.abs(x_l - (x_u - 2.0)))
         print(f"  x_u={np.round(x_u, 3)}  ->  x_l={np.round(x_l, 4)}  "
               f"|error|={err:.1e}  f*={f:.1e}  ({ledger.fes_l} lower FEs)")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigurationError
 from .nested import TerminationRule
-from .optimizers import LowerConfig, UpperConfig
+from .optimizers import UpperConfig
 from .problems import ProblemSpec, get_problem, problem_names
 from .ranknet import NetConfig
 
@@ -45,7 +45,7 @@ class HarnessConfig:
     # from the nearest resolved responses: on nested SMD1 seed 0 the median
     # task ends at f* 4.3e-7, tasks use 159 FEs on average and 41% reach the
     # cap.
-    lower: LowerConfig = field(default_factory=LowerConfig, init=False)
+    lower: int = field(default=0, init=False)
     pop_formula: str = field(default="", init=False)
 
     def __post_init__(self):
@@ -77,12 +77,12 @@ class HarnessConfig:
             upper = replace(upper, pop_size=default_upper_pop(p.m, p.n))
             formula = f"upper={POP_FORMULA_UPPER}"
         cfg = replace(self, upper=upper)
-        cfg.lower = LowerConfig(pop_size=default_lower_pop(p.n))
+        cfg.lower = default_lower_pop(p.n)
         cfg.pop_formula = f"{formula}; lower={POP_FORMULA_LOWER}"
         cfg.upper.validate()
-        if cfg.termination.fes_l_max < cfg.lower.pop_size:
+        if cfg.termination.fes_l_max < cfg.lower:
             raise ConfigurationError(f"termination.fes_l_max: {cfg.termination.fes_l_max} "
-                                     f"cannot cover a lower population of {cfg.lower.pop_size}")
+                                     f"cannot cover a lower population of {cfg.lower}")
         return cfg.validate()
 
 
@@ -123,5 +123,7 @@ def harness_config_from_dict(data, path="config") -> HarnessConfig:
     """Build and validate a HarnessConfig from parsed JSON, with field-path
     diagnostics on any error."""
     cfg = _build(HarnessConfig, data, path).validate()
-    cfg.resolved(get_problem(cfg.problem))  # engine knobs, checked before anything runs
+    # the population sizes, and that the lower budget covers the lower
+    # population, checked before anything runs
+    cfg.resolved(get_problem(cfg.problem))
     return cfg

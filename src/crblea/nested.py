@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
 from .ledger import EvalLedger
-from .optimizers import LowerConfig, _ff_key, de_trial, init_search, step
+from .optimizers import _ff_key, de_trial, init_search, step
 from .problems import ProblemSpec, evaluate_lower, evaluate_upper
 from .stats import RunRecord, accuracy, config_fingerprint
 
@@ -60,7 +60,7 @@ class UpperIndividual:
         return self
 
 
-def lower_level_search(p: ProblemSpec, x_u, cfg: LowerConfig, rule: TerminationRule,
+def lower_level_search(p: ProblemSpec, x_u, pop_size, rule: TerminationRule,
                        ledger: EvalLedger, rng, *, start=None):
     """Optimize ``f(x_u, .)`` until the task budget or stagnation window hits.
 
@@ -70,9 +70,9 @@ def lower_level_search(p: ProblemSpec, x_u, cfg: LowerConfig, rule: TerminationR
     ``start`` rows, if given, open the initial population (see
     ``optimizers.init_search``); every evaluation counts against the budget.
     """
-    if rule.fes_l_max < cfg.pop_size:
+    if rule.fes_l_max < pop_size:
         raise ContractViolationError(
-            f"fes_l_max={rule.fes_l_max} cannot cover a lower population of {cfg.pop_size}"
+            f"fes_l_max={rule.fes_l_max} cannot cover a lower population of {pop_size}"
         )
     hist = []  # raw objective value of every evaluation, in FE order
     budget = rule.fes_l_max
@@ -90,7 +90,7 @@ def lower_level_search(p: ProblemSpec, x_u, cfg: LowerConfig, rule: TerminationR
     # the population is still spread out, leaving large unresolved residuals
     # that poison the upper-level objective.
     w = rule.fes_l_var_window
-    state = init_search(cfg, p.lower_bounds, objective, rng=rng, start=start)
+    state = init_search(pop_size, p.lower_bounds, objective, rng=rng, start=start)
     while len(hist) < budget:
         if len(hist) >= w and max(hist[-w:]) - min(hist[-w:]) < rule.lower_var_eps:
             break
@@ -204,7 +204,7 @@ class NestedRun:
         mapping idea of BLEAQ).
         """
         cfg = self.cfg
-        start = self.archive.nearest(ind.x_u, cfg.lower.pop_size)
+        start = self.archive.nearest(ind.x_u, cfg.lower)
         ind.x_l_star, ind.f_star = lower_level_search(self.p, ind.x_u, cfg.lower, cfg.termination,
                                                       self.ledger, rng=self.rng, start=start)
         ind.F, _, ind.violation = evaluate_upper(self.p, ind.x_u, ind.x_l_star, self.ledger)
@@ -318,7 +318,7 @@ class NestedRun:
             best_f=best.f_star,
             stop_reason=stop_reason or "",
             pop_size_upper=cfg.upper.pop_size,
-            pop_size_lower=cfg.lower.pop_size,
+            pop_size_lower=cfg.lower,
             pop_formula=cfg.pop_formula,
             resamplings=resamplings,
             pool_trigger=pool_trigger,

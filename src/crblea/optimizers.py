@@ -1,6 +1,6 @@
 """The search engine of each level: rand/1/bin variation (``de_trial``) for
-the upper level and CMA-ES for the lower level.  Only their population sizes
-are configured; every other setting is a module constant.
+the upper level and CMA-ES for the lower level.  Each takes its population
+size; every other setting is a module constant.
 
 CMA-ES minimizes an objective ``obj(x) -> (fitness, violation)`` inside a
 box, where ``violation`` is the summed positive constraint excess, 0 when
@@ -19,7 +19,7 @@ import numpy as np
 from numpy._core.umath import clip as _clip  # the ufunc behind ndarray.clip
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolationError
 
 # Least initial CMA-ES step per axis of a warm start, in box widths.  A wider
 # floor makes a nearly resolved start search too wide a region: at 1e-3 and
@@ -41,18 +41,6 @@ class UpperConfig:
     def validate(self):
         if self.pop_size < 4:
             raise ConfigurationError("upper.pop_size: DE needs >= 4 (base + 3 distinct donors)")
-        return self
-
-
-@dataclass
-class LowerConfig:
-    """Lower-level CMA-ES population, sized by ``HarnessConfig.resolved``."""
-
-    pop_size: int = 0
-
-    def validate(self):
-        if self.pop_size < 2:
-            raise ConfigurationError("lower.pop_size: CMA-ES needs >= 2")
         return self
 
 
@@ -128,12 +116,14 @@ class CmaState:
     point.
     """
 
-    def __init__(self, config, bounds, objective, rng, start):
+    def __init__(self, pop_size, bounds, objective, rng, start):
+        if pop_size < 2:
+            raise ContractViolationError(f"CMA-ES needs a population of >= 2, got {pop_size}")
         bounds = np.asarray(bounds, dtype=float)
-        self.config = config
+        self.pop_size = pop_size
         self.low, self.high = bounds[:, 0], bounds[:, 1]
         self.dim = d = len(bounds)
-        self.strategy = _strategy(config.pop_size, d)
+        self.strategy = _strategy(pop_size, d)
         self.rng = rng
         self.generation = 0
         self.best_x = None
@@ -166,7 +156,7 @@ class CmaState:
     def _initial_points(self, start):
         """``start`` rows (clipped to the box) followed by uniform samples up
         to the population size."""
-        n = self.config.pop_size
+        n = self.pop_size
         if start is None:
             return self.rng.uniform(self.low, self.high, size=(n, self.dim))
         start = _clip(np.asarray(start, dtype=float)[:n], self.low, self.high)
@@ -206,7 +196,7 @@ class CmaState:
 
     def _step(self, objective, limit=None):
         s = self.strategy
-        lam = self.config.pop_size
+        lam = self.pop_size
 
         Z = self.rng.standard_normal((lam, self.dim))
         X = _clip(self.mean + self.sigma * (Z @ self.BD.T), self.low, self.high)
@@ -241,15 +231,16 @@ class CmaState:
         self.generation = gen
 
 
-def init_search(config: LowerConfig, bounds, objective, rng, *, start=None) -> CmaState:
-    """Evaluate an initial CMA-ES population inside ``bounds``.
+def init_search(pop_size, bounds, objective, rng, *, start=None) -> CmaState:
+    """Evaluate an initial CMA-ES population of ``pop_size`` points inside
+    ``bounds``.
 
     Without ``start`` the population is uniform over the box and the initial
     step size is ``CMA_SIGMA0`` of it.  A warm start puts the rows of
     ``start`` first, fills the rest uniformly, and takes the initial step
     sizes from the population's spread per axis.
     """
-    return CmaState(config.validate(), bounds, objective, rng, start)
+    return CmaState(pop_size, bounds, objective, rng, start)
 
 
 def step(state: CmaState, objective, limit=None) -> CmaState:

@@ -18,7 +18,6 @@ Provided instances:
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -79,18 +78,19 @@ def _checked(p: ProblemSpec, level, value, cons, x_u, x_l):
     the summed positive excess of the constraints otherwise."""
     value = float(value)
     cons = np.asarray(cons, dtype=float)
-    # A handful of constraints is checked faster as Python floats than by
-    # numpy reductions.  max() is exact once every entry is known finite.
+    # A handful of constraints is checked and summed faster as Python floats
+    # than by numpy reductions.
     c = cons.ravel().tolist() if cons.size else ()
     if not (math.isfinite(value) and all(map(math.isfinite, c))):
         raise EvaluationError(f"{p.name}: non-finite {level} evaluation", x_u=x_u, x_l=x_l)
-    if not c or (top := max(c)) <= 0.0:
-        return value, cons, 0.0
-    # len(c) excesses of at most top each cannot sum past the double range
-    if top <= sys.float_info.max / (2 * len(c)):
-        return value, cons, float(_sum(np.maximum(cons, 0.0)))
-    with np.errstate(over="ignore"):  # a sum past the double range is the intended inf
-        return value, cons, float(_sum(np.maximum(cons, 0.0)))
+    # Summed left to right in a loop: the builtin sum() compensates float
+    # sums from Python 3.12 on, and a float sum past the double range is
+    # inf with no warning.
+    violation = 0.0
+    for excess in c:
+        if excess > 0.0:
+            violation += excess
+    return value, cons, violation
 
 
 def evaluate_upper(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
@@ -219,15 +219,15 @@ def _others(k):
     return idx
 
 
-def _cubic(v, tail=0.0):
-    """v_j - sum_{i != j} v_i^3 - tail for every j (SMD10 and SMD12)."""
+def _cubic(v):
+    """v_j - sum_{i != j} v_i^3 for every j (SMD10 and SMD12)."""
     # take and add.reduce gather and sum as indexing and .sum would, with
     # less per-call overhead
-    return v - np.add.reduce(np.power(v, 3).take(_others(len(v))), axis=1) - tail
+    return v - np.add.reduce(np.power(v, 3).take(_others(len(v))), axis=1)
 
 
 def _cubic_upper(xu1, xu2):
-    return np.concatenate((_cubic(xu1, _sum(xu2**3)), _cubic(xu2, _sum(xu1**3))))
+    return np.concatenate((_cubic(xu1) - _sum(xu2**3), _cubic(xu2) - _sum(xu1**3)))
 
 
 def _smd12_g(xl1, t3):

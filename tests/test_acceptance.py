@@ -19,7 +19,6 @@ import test_ranknet
 from crblea import (
     EvalLedger,
     HarnessConfig,
-    LowerConfig,
     TerminationRule,
     UpperConfig,
     evaluate_lower,
@@ -184,13 +183,12 @@ def test_criterion_8_oracles():
     # closed-form lower-level response recovery: x_l*(x_u) = x_u + c
     p = get_problem("tq")
     rng = np.random.default_rng(1)
-    cfg = LowerConfig(pop_size=5)
     rule = TerminationRule()
     worst = 0.0
     for _ in range(20):
         # keep the response target x_u + c inside the lower-level box
         x_u = rng.uniform(p.lower_bounds[:, 0] + 2.0, p.upper_bounds[:, 1])
-        x_l, _ = lower_level_search(p, x_u, cfg, rule, EvalLedger(), rng=rng)
+        x_l, _ = lower_level_search(p, x_u, 5, rule, EvalLedger(), rng=rng)
         worst = max(worst, float(np.max(np.abs(x_l - (x_u - 2.0)))))
     if worst > 1e-2:
         failures.append(f"response recovery error {worst:.2e}")

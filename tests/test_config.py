@@ -10,7 +10,6 @@ import pytest
 from crblea import (
     ConfigurationError,
     HarnessConfig,
-    LowerConfig,
     NetConfig,
     TerminationRule,
     UpperConfig,
@@ -34,14 +33,14 @@ def test_defaults():
     cfg = HarnessConfig()
     assert cfg.mode == "nested"
     assert cfg.upper == UpperConfig(pop_size=0)  # 0 = use the formula
-    assert cfg.lower == LowerConfig(pop_size=0)
+    assert cfg.lower == 0
     assert cfg.runs == 21
 
 
 def test_resolved_fills_formula_sizes():
     cfg = HarnessConfig().resolved(get_problem("smd1"))
     assert cfg.upper.pop_size == 5
-    assert cfg.lower.pop_size == 5
+    assert cfg.lower == 5
     assert "4+floor(ln(m+n))" in cfg.pop_formula
     assert "4+floor(ln(n))" in cfg.pop_formula
 
@@ -55,7 +54,7 @@ def test_resolved_records_overrides():
 @pytest.mark.parametrize("data", [{"termination": {"fes_u_max": 1000}}, {"net": {"psi_relu": False}}])
 def test_omitted_fields_take_the_harness_defaults(data):
     cfg = harness_config_from_dict(data).resolved(get_problem("smd1"))
-    assert (cfg.upper.pop_size, cfg.lower.pop_size) == (5, 5)
+    assert (cfg.upper.pop_size, cfg.lower) == (5, 5)
     assert cfg.pop_formula == "upper=4+floor(ln(m+n)); lower=4+floor(ln(n))"
     assert cfg.termination == TerminationRule(**data.get("termination", {}))
     assert cfg.net == NetConfig(**data.get("net", {}))

@@ -10,7 +10,6 @@ from crblea import (
     nested,
     EvalLedger,
     HarnessConfig,
-    LowerConfig,
     NestedRun,
     TerminationRule,
     UpperConfig,
@@ -65,11 +64,10 @@ def test_require_evaluated():
 
 def test_lower_search_recovers_toy_response():
     rule = TerminationRule()
-    cfg = LowerConfig(pop_size=5)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x_u = rng.uniform(-3, 3, 2)
-        x_l, f = lower_level_search(TOY, x_u, cfg, rule, EvalLedger(), rng=rng)
+        x_l, f = lower_level_search(TOY, x_u, 5, rule, EvalLedger(), rng=rng)
         assert np.max(np.abs(x_l - (x_u - 2.0))) < 1e-2
         assert f < 1e-4
 
@@ -89,7 +87,7 @@ def test_lower_search_respects_budget():
     )
     rule = TerminationRule(fes_l_max=37, lower_var_eps=1e-300)
     ledger = EvalLedger()
-    x_l, f = lower_level_search(p, np.zeros(2), LowerConfig(pop_size=5),
+    x_l, f = lower_level_search(p, np.zeros(2), 5,
                                 rule, ledger, rng=np.random.default_rng(0))
     assert ledger.fes_l == len(seen) == 37
     best_f, best_x = min(seen, key=lambda s: s[0])
@@ -100,7 +98,7 @@ def test_lower_search_respects_budget():
 def test_lower_search_budget_must_cover_initial_population():
     ledger = EvalLedger()
     with pytest.raises(ContractViolationError):
-        lower_level_search(TOY, np.zeros(2), LowerConfig(pop_size=5),
+        lower_level_search(TOY, np.zeros(2), 5,
                            TerminationRule(fes_l_max=4), ledger, rng=np.random.default_rng(0))
     assert ledger.fes_l == 0
 
@@ -116,7 +114,7 @@ def test_lower_search_stagnation_stops_early():
     )
     rule = TerminationRule(fes_l_max=250)
     ledger = EvalLedger()
-    lower_level_search(p, np.zeros(2), LowerConfig(pop_size=5),
+    lower_level_search(p, np.zeros(2), 5,
                        rule, ledger, rng=np.random.default_rng(0))
     assert ledger.fes_l < 100
 

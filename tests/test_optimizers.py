@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from crblea import LowerConfig, UpperConfig, harness_config_from_dict, init_search, step
-from crblea.errors import ConfigurationError
+from crblea import UpperConfig, harness_config_from_dict, init_search, step
+from crblea.errors import ConfigurationError, ContractViolationError
 from crblea.optimizers import CMA_SIGMA0, WARM_SPREAD_FLOOR, CmaState, de_trial
 
 BOUNDS3 = np.tile([-5.0, 5.0], (3, 1))
@@ -26,9 +26,9 @@ def counted(fn):
     return wrapped, calls
 
 
-def run_engine(cfg, objective, bounds, generations, seed=0):
+def run_engine(pop, objective, bounds, generations, seed=0):
     rng = np.random.default_rng(seed)
-    state = init_search(cfg, bounds, objective, rng=rng)
+    state = init_search(pop, bounds, objective, rng=rng)
     for _ in range(generations):
         step(state, objective)
     return state
@@ -55,7 +55,7 @@ def final_points(engine, bounds, generations, seed=0):
     if engine == "de":
         X, f = run_de(sphere, bounds, generations, pop=6, seed=seed)
         return X, f.min()
-    state = run_engine(LowerConfig(pop_size=6), sphere, bounds, generations, seed=seed)
+    state = run_engine(6, sphere, bounds, generations, seed=seed)
     return np.vstack([state.population, state.best_x]), state.best_fitness
 
 
@@ -72,8 +72,10 @@ class TestConfigValidation:
             UpperConfig(pop_size=3).validate()
 
     def test_cma_needs_two(self):
-        with pytest.raises(ConfigurationError):
-            LowerConfig(pop_size=1).validate()
+        # the lower population always takes its formula, so only a direct
+        # call can pass a bad size
+        with pytest.raises(ContractViolationError):
+            init_search(1, BOUNDS3, sphere, rng=np.random.default_rng(0))
 
 
 def test_de_converges_on_sphere():
@@ -82,10 +84,9 @@ def test_de_converges_on_sphere():
 
 
 def test_cma_converges_on_sphere_small_pop():
-    cfg = LowerConfig(pop_size=5)
-    state = run_engine(cfg, sphere, BOUNDS3, 49)  # 250 evaluations total
+    state = run_engine(5, sphere, BOUNDS3, 49)  # 250 evaluations total
     assert state.best_fitness < 1e-3
-    assert run_engine(cfg, sphere, BOUNDS3, 100).best_fitness < 1e-8
+    assert run_engine(5, sphere, BOUNDS3, 100).best_fitness < 1e-8
 
 
 def test_cma_converges_on_rotated_ellipsoid():
@@ -97,14 +98,13 @@ def test_cma_converges_on_rotated_ellipsoid():
         z = Q @ (x - 0.5)
         return float(np.sum(scales * z**2)), 0.0
 
-    cfg = LowerConfig(pop_size=8)
-    state = run_engine(cfg, ellipsoid, BOUNDS3, 120)
+    state = run_engine(8, ellipsoid, BOUNDS3, 120)
     assert state.best_fitness < 1e-6
 
 
 def test_exact_evaluation_count():
     obj, calls = counted(sphere)
-    run_engine(LowerConfig(pop_size=6), obj, BOUNDS3, 7)
+    run_engine(6, obj, BOUNDS3, 7)
     assert calls[0] == 6 * 8  # init + 7 generations, one FE per candidate
 
 
@@ -119,7 +119,7 @@ def test_feasibility_first_best():
     def constrained(x):
         return float(np.sum(x**2)), float(max(0.0, 1.0 - x[0]))
 
-    state = run_engine(LowerConfig(pop_size=10), constrained, BOUNDS3, 120)
+    state = run_engine(10, constrained, BOUNDS3, 120)
     assert state.best_violation == 0.0
     assert state.best_fitness == pytest.approx(1.0, abs=0.05)
 
@@ -132,9 +132,8 @@ def test_seeded_determinism(engine):
 
 
 def test_best_so_far_monotone():
-    cfg = LowerConfig(pop_size=8)
     rng = np.random.default_rng(7)
-    state = init_search(cfg, BOUNDS3, sphere, rng=rng)
+    state = init_search(8, BOUNDS3, sphere, rng=rng)
     best = state.best_fitness
     for _ in range(30):
         step(state, sphere)
@@ -148,7 +147,7 @@ def test_cma_eigenvalue_floor():
     def flat(x):
         return 0.0, 0.0
 
-    state = run_engine(LowerConfig(pop_size=5), flat, BOUNDS3, 80)
+    state = run_engine(5, flat, BOUNDS3, 80)
     assert state.eigvals.min() >= 1e-14
     assert np.all(np.isfinite(state.population))
 
@@ -157,7 +156,7 @@ def test_cma_eigenvalue_floor():
 def test_decomposition_bitwise_equals_eigh(d):
     # _decompose calls the LAPACK gufunc behind np.linalg.eigh directly
     rng = np.random.default_rng(d)
-    state = init_search(LowerConfig(pop_size=4), np.tile([-1.0, 1.0], (d, 1)), sphere, rng=rng)
+    state = init_search(4, np.tile([-1.0, 1.0], (d, 1)), sphere, rng=rng)
     for _ in range(20):
         A = rng.standard_normal((d, d))
         C = A @ A.T + 1e-3 * np.eye(d)
@@ -170,7 +169,7 @@ def test_decomposition_bitwise_equals_eigh(d):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_decomposition_failure_raises():
-    state = init_search(LowerConfig(pop_size=4), BOUNDS3, sphere, rng=np.random.default_rng(0))
+    state = init_search(4, BOUNDS3, sphere, rng=np.random.default_rng(0))
     state.C = np.full((3, 3), np.nan)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         state._decompose()
@@ -181,7 +180,7 @@ def test_limited_step_scores_only_the_first_rows(limit):
     # a budget stop part-way through a generation: the rows the limit covers
     # reach the best-so-far point, the first least row first; no row past
     # the limit reaches the objective, and the distribution stays as it was
-    state = init_search(LowerConfig(pop_size=6), BOUNDS3, sphere, rng=np.random.default_rng(0))
+    state = init_search(6, BOUNDS3, sphere, rng=np.random.default_rng(0))
     mean, sigma, population = state.mean.copy(), state.sigma, state.population
     seen = []
 
@@ -206,8 +205,8 @@ def test_limited_step_draws_the_whole_generation():
         seen.append(x.copy())
         return sphere(x)
 
-    full = init_search(LowerConfig(pop_size=6), BOUNDS3, sphere, rng=np.random.default_rng(1))
-    limited = init_search(LowerConfig(pop_size=6), BOUNDS3, sphere, rng=np.random.default_rng(1))
+    full = init_search(6, BOUNDS3, sphere, rng=np.random.default_rng(1))
+    limited = init_search(6, BOUNDS3, sphere, rng=np.random.default_rng(1))
     step(full, sphere)
     step(limited, recorded, 2)
     assert np.array_equal(np.array(seen), full.population[:2])
@@ -222,16 +221,15 @@ def test_initial_step_sizes_equal_the_numpy_statistics(pop, d):
     rng = np.random.default_rng(pop * 10 + d)
     bounds = np.stack([-rng.uniform(1, 9, d), rng.uniform(1, 9, d)], axis=1)
     widths = bounds[:, 1] - bounds[:, 0]
-    cfg = LowerConfig(pop_size=pop)
-    cold = init_search(cfg, bounds, sphere, rng=rng)
+    cold = init_search(pop, bounds, sphere, rng=rng)
     assert cold.sigma == CMA_SIGMA0 * float(np.mean(widths))
     for rows in (1, pop - 1, pop, pop + 2):
         start = rng.uniform(1.5 * bounds[:, 0], 1.5 * bounds[:, 1], (rows, d))
-        warm = init_search(cfg, bounds, sphere, rng=rng, start=start)
+        warm = init_search(pop, bounds, sphere, rng=rng, start=start)
         spread = np.maximum(warm.population.std(axis=0), WARM_SPREAD_FLOOR * widths)
         assert warm.sigma == float(np.mean(spread))
         scale = spread / warm.sigma
-        ref = init_search(cfg, bounds, sphere, rng=np.random.default_rng(0))
+        ref = init_search(pop, bounds, sphere, rng=np.random.default_rng(0))
         ref.C = np.diag(scale**2)
         ref._decompose()
         assert np.array_equal(warm.C, ref.C)
@@ -246,7 +244,7 @@ class TextbookCma(CmaState):
 
     def _step(self, objective):
         s = self.strategy
-        lam = self.config.pop_size
+        lam = self.pop_size
         Z = self.rng.standard_normal((lam, self.dim))
         Y = Z @ self.BD.T
         X = (self.mean + self.sigma * Y).clip(self.low, self.high)
@@ -285,10 +283,9 @@ def test_step_bitwise_equals_the_textbook_update(objective, corner, pop):
     # Cold starts clip many early samples to the box.  A start collapsed in a
     # corner has a tiny step that must grow on a long evolution path, so
     # hsig fails for a while there.
-    cfg = LowerConfig(pop_size=pop)
     start = np.full((pop, 3), 4.0) if corner else None
-    ref = TextbookCma(cfg, BOUNDS3, objective, np.random.default_rng(pop), start)
-    state = CmaState(cfg, BOUNDS3, objective, np.random.default_rng(pop), start)
+    ref = TextbookCma(pop, BOUNDS3, objective, np.random.default_rng(pop), start)
+    state = CmaState(pop, BOUNDS3, objective, np.random.default_rng(pop), start)
     for _ in range(60):
         ref._step(objective)
         step(state, objective)

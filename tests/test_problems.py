@@ -1,5 +1,8 @@
 """Problem definitions: registry, dimensions, known optima, FE accounting."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -150,12 +153,14 @@ def test_non_finite_constraint_raises(bad, where):
     ([-0.0], True),
     ([0.0, -0.0, -3.0], True),
     ([-1.0, 5e-324], False),  # the least positive double
+    ([0.1] * 8, False),  # numpy's unrolled pairwise sum would give 0.8
 ])
 def test_finite_constraints_give_the_exact_feasibility_flag(cons, feasible):
-    # the violation is 0.0 exactly at a feasible point, the summed positive
-    # excess (inf once that sum overflows) elsewhere
+    # the violation is 0.0 exactly at a feasible point, the positive excess
+    # summed left to right (inf once that sum overflows) elsewhere; the
+    # builtin sum() compensates float sums from Python 3.12 on
     p = constrained(cons)
-    excess = 0.0 if feasible else sum(max(c, 0.0) for c in cons)
+    excess = 0.0 if feasible else functools.reduce(operator.add, (max(c, 0.0) for c in cons))
     for evaluate in (evaluate_upper, evaluate_lower):
         _, out, violation = evaluate(p, [0.0], [0.0], EvalLedger())
         assert (violation == 0.0) is feasible
