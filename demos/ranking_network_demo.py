@@ -16,7 +16,6 @@ from crblea import (
     NetConfig,
     Normalizer,
     RankNetParams,
-    UpperConfig,
     get_problem,
     model_accuracy,
     pdp,
@@ -31,7 +30,7 @@ SEED = 3
 
 def main():
     p = get_problem("smd1")
-    run = NestedRun(p, HarnessConfig(problem="smd1", upper=UpperConfig(pop_size=20)), SEED)
+    run = NestedRun(p, HarnessConfig(problem="smd1", upper=20), SEED)
     rng = run.rng  # the network draws its initial weights from the run's stream first
 
     q = NetConfig.width_for(p.m, p.n)

@@ -13,15 +13,15 @@ Run:  python3 demos/smd1_comparison.py
 
 import json
 
-from crblea import HarnessConfig, UpperConfig
+from crblea import HarnessConfig
 from crblea.cli import compare_records, execute_runs
 
 RUNS = 3
 
 
 def main():
-    base = HarnessConfig(problem="smd1", mode="nested", upper=UpperConfig(pop_size=20))
-    variant = HarnessConfig(problem="smd1", mode="cr", upper=UpperConfig(pop_size=20))
+    base = HarnessConfig(problem="smd1", mode="nested", upper=20)
+    variant = HarnessConfig(problem="smd1", mode="cr", upper=20)
 
     print(f"running {RUNS} seeded runs per mode on smd1 (this takes a minute)...")
     nested = list(execute_runs([(base, seed) for seed in range(RUNS)]))

@@ -15,7 +15,6 @@ from crblea import (
     EvalLedger,
     HarnessConfig,
     TerminationRule,
-    UpperConfig,
     get_problem,
     lower_level_search,
     run_single,
@@ -43,8 +42,8 @@ def main():
 
     print("\n-- full bilevel runs, baseline vs ranking-gated --")
     # one entry point: the mode picks the gate, and "nested" lets every offspring through
-    nested = run_single(HarnessConfig(problem="tq", upper=UpperConfig(pop_size=20)), SEED)
-    cr = run_single(HarnessConfig(problem="tq", mode="cr", upper=UpperConfig(pop_size=20)), SEED)
+    nested = run_single(HarnessConfig(problem="tq", upper=20), SEED)
+    cr = run_single(HarnessConfig(problem="tq", mode="cr", upper=20), SEED)
     for record in (nested, cr):
         print(f"  mode={record.mode:<7} F={record.best_F:.6f}  "
               f"acc_u={record.acc_u:.1e}  FEs_total={record.fes_t}  "

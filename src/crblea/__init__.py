@@ -22,7 +22,7 @@ from .nested import (
     environmental_selection,
     lower_level_search,
 )
-from .optimizers import UpperConfig, init_search, step
+from .optimizers import init_search, step
 from .problems import (
     ProblemSpec,
     evaluate_lower,
@@ -63,7 +63,7 @@ __all__ = [
     "EvalLedger",
     "NestedRun", "TerminationRule", "UpperIndividual", "environmental_selection",
     "lower_level_search",
-    "UpperConfig", "init_search", "step",
+    "init_search", "step",
     "ProblemSpec", "evaluate_upper", "evaluate_lower", "get_problem",
     "make_smd", "make_toy", "problem_names",
     "NetConfig", "Normalizer", "PairDataset", "RankNetParams",

@@ -136,7 +136,7 @@ def cmd_compare(cfg_base: HarnessConfig, cfg_variant: HarnessConfig, jobs=1, out
     if (config_fingerprint(cfg_base.problem, cfg_base.termination)
             != config_fingerprint(cfg_variant.problem, cfg_variant.termination)):
         raise ConfigurationError("compare: both configs must use the same termination settings")
-    pops = [cfg.resolved(get_problem(cfg.problem)).upper.pop_size for cfg in (cfg_base, cfg_variant)]
+    pops = [cfg.resolved(get_problem(cfg.problem)).upper for cfg in (cfg_base, cfg_variant)]
     if pops[0] != pops[1]:  # the saving rate would measure the population, not the gate
         raise ConfigurationError(f"compare: both configs must use the same upper population, got {pops}")
     out_dir = out_dir or cfg_base.output_dir

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigurationError
 from .nested import TerminationRule
-from .optimizers import UpperConfig
 from .problems import ProblemSpec, get_problem, problem_names
 from .ranknet import NetConfig
 
@@ -29,7 +28,7 @@ def default_lower_pop(n):
 class HarnessConfig:
     problem: str = "smd1"
     mode: str = "nested"
-    upper: UpperConfig = field(default_factory=UpperConfig)
+    upper: int = 0  # the upper population size; 0 takes its formula
     termination: TerminationRule = field(default_factory=TerminationRule)
     net: NetConfig = field(default_factory=NetConfig)
     runs: int = 21
@@ -67,19 +66,18 @@ class HarnessConfig:
     def resolved(self, p: ProblemSpec):
         """Copy with population sizes filled in from the problem dimensions.
 
-        An upper pop_size of 0 (the default) means "use the published
+        An upper population of 0 (the default) means "use the published
         formula"; any explicit value is an override and is recorded as such.
         The lower population always takes its formula.  The lower budget must
         cover the lower population, or no task could report a best point.
         """
-        upper, formula = self.upper, f"upper=override({self.upper.pop_size})"
-        if upper.pop_size == 0:
-            upper = replace(upper, pop_size=default_upper_pop(p.m, p.n))
-            formula = f"upper={POP_FORMULA_UPPER}"
-        cfg = replace(self, upper=upper)
+        cfg = replace(self, upper=self.upper or default_upper_pop(p.m, p.n))
+        formula = f"override({self.upper})" if self.upper else POP_FORMULA_UPPER
         cfg.lower = default_lower_pop(p.n)
-        cfg.pop_formula = f"{formula}; lower={POP_FORMULA_LOWER}"
-        cfg.upper.validate()
+        cfg.pop_formula = f"upper={formula}; lower={POP_FORMULA_LOWER}"
+        if cfg.upper < 4:
+            raise ConfigurationError(f"upper: DE needs a population of >= 4 "
+                                     f"(base + 3 distinct donors), got {cfg.upper}")
         if cfg.termination.fes_l_max < cfg.lower:
             raise ConfigurationError(f"termination.fes_l_max: {cfg.termination.fes_l_max} "
                                      f"cannot cover a lower population of {cfg.lower}")

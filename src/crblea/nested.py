@@ -239,7 +239,7 @@ class NestedRun:
         """Sample and resolve the initial upper population (budget-guarded),
         record the first convergence checkpoint and return the population."""
         low, high = self.p.upper_bounds[:, 0], self.p.upper_bounds[:, 1]
-        xs = (self.rng.uniform(low, high) for _ in range(self.cfg.upper.pop_size))
+        xs = (self.rng.uniform(low, high) for _ in range(self.cfg.upper))
         self.P_u = self.resolve_all(xs)
         self.ledger.checkpoint(self.best.F)
         return self.P_u
@@ -250,12 +250,12 @@ class NestedRun:
 
     def generation(self, xs):
         """One generation on the offspring points ``xs``: resolve them while
-        the budget lasts, keep the ``pop_size`` best of parents and offspring,
+        the budget lasts, keep the ``cfg.upper`` best of parents and offspring,
         and record a convergence checkpoint.  Returns the resolved offspring.
         """
         offspring = self.resolve_all(xs)
         if offspring:
-            self.P_u = environmental_selection(self.P_u + offspring, self.cfg.upper.pop_size)
+            self.P_u = environmental_selection(self.P_u + offspring, self.cfg.upper)
         self.ledger.checkpoint(self.best.F)
         return offspring
 
@@ -317,7 +317,7 @@ class NestedRun:
             best_F=best.F,
             best_f=best.f_star,
             stop_reason=stop_reason or "",
-            pop_size_upper=cfg.upper.pop_size,
+            pop_size_upper=cfg.upper,
             pop_size_lower=cfg.lower,
             pop_formula=cfg.pop_formula,
             resamplings=resamplings,

@@ -19,7 +19,7 @@ import numpy as np
 from numpy._core.umath import clip as _clip  # the ufunc behind ndarray.clip
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ContractViolationError
 
 # Least initial CMA-ES step per axis of a warm start, in box widths.  A wider
 # floor makes a nearly resolved start search too wide a region: at 1e-3 and
@@ -30,18 +30,6 @@ WARM_SPREAD_FLOOR = 1e-4
 DE_SCALE = 0.5  # rand/1/bin scale factor F
 DE_CROSSOVER = 0.9  # rand/1/bin crossover rate CR
 CMA_SIGMA0 = 0.3  # cold-start CMA-ES step size, as a fraction of the mean box width
-
-
-@dataclass
-class UpperConfig:
-    """Upper-level rand/1/bin population.  pop_size 0 means "use the formula"."""
-
-    pop_size: int = 0
-
-    def validate(self):
-        if self.pop_size < 4:
-            raise ConfigurationError("upper.pop_size: DE needs >= 4 (base + 3 distinct donors)")
-        return self
 
 
 def _ff_key(fitness, violation):

@@ -282,7 +282,7 @@ def pdp(pool, normalizer) -> PairDataset:
 
 def _loss_and_grads(params, dataset: PairDataset):
     """The mean BCE over ``dataset`` and its gradient, laid out as
-    ``params.theta``."""
+    ``params.theta``; a non-finite loss raises TrainingDivergenceError."""
     labels = dataset.labels
     S, cache = _forward_cached(params, dataset.X)
     d = S.take(dataset.ia) - S.take(dataset.ib)
@@ -291,6 +291,8 @@ def _loss_and_grads(params, dataset: PairDataset):
     log_term = np.log1p(np.exp(-np.abs(d)))
     loss = float(np.mean(labels * (log_term + np.maximum(-d, 0.0))
                          + (1.0 - labels) * (log_term + np.maximum(d, 0.0))))
+    if not math.isfinite(loss):
+        raise TrainingDivergenceError(f"non-finite training loss {loss!r}")
     dd = (_sigmoid(d) - labels) / len(labels)  # dL/dd
     P = len(dataset.X)
     dS = np.bincount(dataset.ia, dd, P) - np.bincount(dataset.ib, dd, P)
@@ -314,8 +316,6 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
     since_improvement = 0
     for t in range(1, epochs + 1):
         loss, grads = _loss_and_grads(out, dataset)
-        if not math.isfinite(loss):
-            raise TrainingDivergenceError(f"non-finite training loss {loss!r}")
         out.loss_curve.append(loss)
         if loss < best_loss - TRAIN_STOP_EPS:
             best_loss = loss
@@ -323,16 +323,15 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
         else:
             since_improvement += 1
             if since_improvement >= stop_patience:
-                break
+                break  # the weights have not moved since this loss
         adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grads
         adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * (grads * grads)
         # in place: every named weight is a view of theta
         out.theta -= (lr * (adam_m / (1 - ADAM_BETA1**t))
                       / (np.sqrt(adam_v / (1 - ADAM_BETA2**t)) + ADAM_EPS))
-    final_loss, _ = _loss_and_grads(out, dataset)
-    if not math.isfinite(final_loss):
-        raise TrainingDivergenceError(f"non-finite training loss {final_loss!r}")
-    out.loss_curve.append(final_loss)
+    else:  # the epoch budget ran out: the loss after the last step
+        loss, _ = _loss_and_grads(out, dataset)
+    out.loss_curve.append(loss)  # the final loss
     out.generation_id += 1
     return out
 

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from crblea import HarnessConfig, RunRecord, UpperConfig
+from crblea import HarnessConfig, RunRecord
 from crblea.cli import execute_runs
 
 # Experiment protocol: the published termination settings with an upper
@@ -40,8 +40,7 @@ ABLATION_INSTANCES = ("smd1", "smd2", "smd3", "smd4")
 
 
 def protocol_config(problem, mode):
-    return HarnessConfig(problem=problem, mode=mode,
-                         upper=UpperConfig(pop_size=UPPER_POP))
+    return HarnessConfig(problem=problem, mode=mode, upper=UPPER_POP)
 
 
 def _cache_path(problem, mode, seed):

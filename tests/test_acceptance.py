@@ -20,7 +20,6 @@ from crblea import (
     EvalLedger,
     HarnessConfig,
     TerminationRule,
-    UpperConfig,
     evaluate_lower,
     evaluate_upper,
     get_problem,
@@ -166,7 +165,7 @@ def test_criterion_7_numerical_properties():
     if (ledger.fes_u, ledger.fes_l, ledger.fes_t) != (3, 7, 10):
         failures.append("ledger miscount")
 
-    cfg = HarnessConfig(problem="tq", mode="cr", upper=UpperConfig(pop_size=6),
+    cfg = HarnessConfig(problem="tq", mode="cr", upper=6,
                         termination=TerminationRule(fes_u_max=80, fes_u_var_window=30))
     if run_single(cfg, 9).to_dict() != run_single(cfg, 9).to_dict():
         failures.append("seeded runs not identical")

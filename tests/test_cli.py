@@ -22,7 +22,7 @@ def base_config(mode="nested", **extra):
         "problem": "tq",
         "mode": mode,
         "runs": 3,
-        "upper": {"pop_size": 6},
+        "upper": 6,
         "termination": dict(FAST_TERMINATION),
         "net": {"psi_relu": True},
     }
@@ -224,7 +224,7 @@ def test_compare_rejects_one_mode_on_both_sides(tmp_path, capsys):
     # both arms would write tq_nested_seed*.json, the variant's over the base's
     base = write_config(tmp_path, "base.json", base_config("nested", runs=2))
     variant = write_config(tmp_path, "variant.json",
-                           base_config("nested", runs=2, upper={"pop_size": 10}))
+                           base_config("nested", runs=2, upper=10))
     out_dir = tmp_path / "x"
     assert main(["compare", "--config", base, "--variant-config", variant,
                  "--out", str(out_dir)]) == 2
@@ -246,7 +246,7 @@ def test_compare_rejects_unequal_termination_before_running(tmp_path, capsys):
 def test_compare_rejects_unequal_upper_population_before_running(tmp_path, capsys):
     # a saving between two population sizes would measure the population;
     # 0 is compared as tq's formula size, 4 + floor(ln 4) = 5
-    base = write_config(tmp_path, "base.json", base_config("nested", upper={"pop_size": 0}))
+    base = write_config(tmp_path, "base.json", base_config("nested", upper=0))
     variant = write_config(tmp_path, "variant.json", base_config("cr"))
     out_dir = tmp_path / "x"
     assert main(["compare", "--config", base, "--variant-config", variant,
@@ -304,7 +304,7 @@ def test_suite_keeps_each_pair_files_records_apart(tmp_path, capsys):
     short = dict(FAST_TERMINATION, fes_u_max=30)
     for pop in (6, 8):
         (pair_dir / f"pop{pop}.json").write_text(json.dumps({
-            side: base_config(mode, runs=2, upper={"pop_size": pop}, termination=short)
+            side: base_config(mode, runs=2, upper=pop, termination=short)
             for side, mode in (("base", "nested"), ("variant", "cr"))
         }))
     out_dir = tmp_path / "suite_out"
@@ -389,21 +389,24 @@ def test_unknown_config_key(tmp_path, capsys):
 ])
 def test_bad_config_value(tmp_path, capsys, section, key, value):
     cfg = base_config()
-    cfg[section][key] = value
+    if section == "upper":  # the upper population is the value of "upper" itself
+        cfg[section], where = value, f"{section}: expected int"
+    else:
+        cfg[section][key], where = value, f"{section}.{key}"
     path = write_config(tmp_path, "cfg.json", cfg)
     out_dir = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{section}.{key}" in err
+    assert err.startswith("error: ") and where in err
     assert not out_dir.exists()
 
 
 def test_compare_checks_both_configs_before_running(tmp_path, capsys):
     base = write_config(tmp_path, "base.json", base_config())
     variant = write_config(tmp_path, "variant.json",
-                           base_config("cr", upper={"pop_size": 3}))
+                           base_config("cr", upper=3))
     out_dir = tmp_path / "cmp"
     assert main(["compare", "--config", base, "--variant-config", variant,
                  "--out", str(out_dir)]) == 2
-    assert "upper.pop_size" in capsys.readouterr().err
+    assert "upper: DE needs" in capsys.readouterr().err
     assert not out_dir.exists()

@@ -13,7 +13,6 @@ from crblea import (
     RankNetParams,
     TerminationRule,
     TrainingDivergenceError,
-    UpperConfig,
     UpperIndividual,
     pgr,
     retrain,
@@ -28,7 +27,7 @@ def small_config(mode="cr", **kwargs):
     defaults = dict(
         problem="tq",
         mode=mode,
-        upper=UpperConfig(pop_size=6),
+        upper=6,
         termination=TerminationRule(fes_u_max=150, fes_u_var_window=40),
     )
     defaults.update(kwargs)
@@ -133,7 +132,7 @@ def record_run(monkeypatch):
 class TestTrainingPools:
     # a budget with several retrainings after the first
     CFG = small_config(termination=TerminationRule(fes_u_max=300, fes_u_var_window=300))
-    N_U = CFG.upper.pop_size
+    N_U = CFG.upper
 
     def test_first_training_when_the_pool_reaches_the_trigger(self, monkeypatch):
         generations, trainings = record_run(monkeypatch)
@@ -314,10 +313,7 @@ def capped_config(n_u=6):
         lower_var_eps=1e-300,
         target_acc=1e-300,
     )
-    cfg = HarnessConfig(problem="tq", mode="cr",
-                        upper=UpperConfig(pop_size=n_u),
-                        termination=rule)
-    return cfg
+    return HarnessConfig(problem="tq", mode="cr", upper=n_u, termination=rule)
 
 
 def test_lower_fe_cap_halves_after_transition():

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crblea import EvalLedger, HarnessConfig, TerminationRule, UpperConfig
+from crblea import EvalLedger, HarnessConfig, TerminationRule
 from crblea.cli import run_single
 from crblea.problems import evaluate_lower, evaluate_upper, get_problem, make_smd, problem_names
 from _corpus import CACHE_DIR, protocol_config
@@ -103,7 +103,7 @@ ODD_POP_RUNS = {
 
 @pytest.mark.parametrize("problem, pop_size, seed", sorted(ODD_POP_RUNS))
 def test_odd_population_cr_record_sha1(problem, pop_size, seed):
-    cfg = HarnessConfig(problem, mode="cr", upper=UpperConfig(pop_size=pop_size),
+    cfg = HarnessConfig(problem, mode="cr", upper=pop_size,
                         termination=TerminationRule(fes_u_max=600, fes_l_max=120))
     assert _sha1(run_single(cfg, seed)) == ODD_POP_RUNS[problem, pop_size, seed]
 

@@ -12,7 +12,6 @@ from crblea import (
     HarnessConfig,
     NestedRun,
     TerminationRule,
-    UpperConfig,
     UpperIndividual,
     environmental_selection,
     lower_level_search,
@@ -27,7 +26,7 @@ TOY = get_problem("tq")  # lower optimum at x_l = x_u + c with c = (-2, -2)
 def small_config(**kwargs):
     defaults = dict(
         problem="tq",
-        upper=UpperConfig(pop_size=6),
+        upper=6,
         termination=TerminationRule(fes_u_max=120, fes_u_var_window=40),
     )
     defaults.update(kwargs)
@@ -238,7 +237,7 @@ class TestWarmStart:
         # (x_l*, f*) of the first SMD1 task of protocol seed 0, as computed by
         # the search before warm starts existed
         p = get_problem("smd1")
-        cfg = HarnessConfig(problem="smd1", upper=UpperConfig(pop_size=20)).resolved(p)
+        cfg = HarnessConfig(problem="smd1", upper=20).resolved(p)
         rng = np.random.default_rng(0)
         x_u = rng.uniform(p.upper_bounds[:, 0], p.upper_bounds[:, 1])
         ledger = EvalLedger()
@@ -256,7 +255,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(nested, "lower_level_search", recording)
         run_single(HarnessConfig(
-            problem="smd1", upper=UpperConfig(pop_size=20),
+            problem="smd1", upper=20,
             termination=TerminationRule(fes_u_max=25)), 0)
         assert starts[0] is None
         assert len(starts) == 25 and all(s is not None for s in starts[1:])
@@ -294,8 +293,7 @@ class TestWarmStart:
         monkeypatch.setattr(nested, "lower_level_search", task)
         monkeypatch.setattr(NestedRun, "confirm_elite", counted_confirm)
         rule = TerminationRule(fes_u_max=400, fes_u_var_window=40, fes_l_max=60)
-        cfg = HarnessConfig(problem="smd5", mode=mode, upper=UpperConfig(pop_size=10),
-                            termination=rule)
+        cfg = HarnessConfig(problem="smd5", mode=mode, upper=10, termination=rule)
         record = run_single(cfg, 1)
         assert confirmations, "the run never reached the stagnation confirmation"
         assert (record.fes_l, record.fes_u) == (calls["lower"], calls["upper"])

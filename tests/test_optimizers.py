@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crblea import UpperConfig, harness_config_from_dict, init_search, step
+from crblea import harness_config_from_dict, init_search, step
 from crblea.errors import ConfigurationError, ContractViolationError
 from crblea.optimizers import CMA_SIGMA0, WARM_SPREAD_FLOOR, CmaState, de_trial
 
@@ -61,15 +61,13 @@ def final_points(engine, bounds, generations, seed=0):
 
 class TestConfigValidation:
     def test_unknown_kind(self):
-        # each level has one engine, so the engine is not a knob at all; the
-        # lower level has no key left, its population takes the formula
-        for level, path in (("upper", "upper.kind"), ("lower", "config.lower")):
-            with pytest.raises(ConfigurationError, match=f"{path}: unknown key"):
+        # each level has one engine, so the engine is not a knob at all; each
+        # level's config value is no object: the upper one is its population
+        # size, and the lower one is no key, its population takes the formula
+        for level, error in (("upper", "config.upper: expected int"),
+                             ("lower", "config.lower: unknown key")):
+            with pytest.raises(ConfigurationError, match=error):
                 harness_config_from_dict({level: {"kind": "de"}})
-
-    def test_de_needs_four(self):
-        with pytest.raises(ConfigurationError):
-            UpperConfig(pop_size=3).validate()
 
     def test_cma_needs_two(self):
         # the lower population always takes its formula, so only a direct
