@@ -202,7 +202,7 @@ def _apply_overrides(cfg, args):
     flags = {"seed": "base_seed", "runs": "runs", "mode": "mode", "out": "output_dir"}
     changes = {key: getattr(args, flag) for flag, key in flags.items()
                if getattr(args, flag, None) is not None}
-    return dataclasses.replace(cfg, **changes).validate() if changes else cfg
+    return dataclasses.replace(cfg, **changes)
 
 
 def build_parser():

@@ -1,4 +1,6 @@
-"""Experiment configuration: schema, defaults, and validated loading."""
+"""Experiment configuration: schema, defaults, and loading.  A ``HarnessConfig``
+checks every value when it is built, so one built in Python, copied with
+``dataclasses.replace`` or loaded from a file is valid."""
 
 import math
 import sys
@@ -48,10 +50,10 @@ class HarnessConfig:
     pop_formula: str = field(default="", init=False)
 
     def __post_init__(self):
+        for name, value in _typed(self, "").items():
+            setattr(self, name, value)
         # the registry name, so "SMD1" and "smd1" are one problem everywhere
         self.problem = self.problem.lower()
-
-    def validate(self):
         if self.mode not in MODES:
             raise ConfigurationError(f"mode: {self.mode!r} not one of {MODES}")
         if self.problem not in problem_names():
@@ -61,54 +63,49 @@ class HarnessConfig:
         if self.base_seed < 0:
             raise ConfigurationError("base_seed: must be >= 0")
         self.termination.validate()
-        return self
+        if self.upper != 0 and self.upper < 4:  # 0 takes the formula, at least 4
+            raise ConfigurationError(f"upper: DE needs a population of >= 4 "
+                                     f"(base + 3 distinct donors), got {self.upper}")
+        # every lower-level task evaluates its whole initial population
+        lower = default_lower_pop(get_problem(self.problem).n)
+        if self.termination.fes_l_max < lower:
+            raise ConfigurationError(f"termination.fes_l_max: {self.termination.fes_l_max} "
+                                     f"cannot cover a lower population of {lower}")
 
     def resolved(self, p: ProblemSpec):
         """Copy with population sizes filled in from the problem dimensions.
 
         An upper population of 0 (the default) means "use the published
         formula"; any explicit value is an override and is recorded as such.
-        The lower population always takes its formula.  The lower budget must
-        cover the lower population, or no task could report a best point.
+        The lower population always takes its formula.
         """
         cfg = replace(self, upper=self.upper or default_upper_pop(p.m, p.n))
         formula = f"override({self.upper})" if self.upper else POP_FORMULA_UPPER
         cfg.lower = default_lower_pop(p.n)
         cfg.pop_formula = f"upper={formula}; lower={POP_FORMULA_LOWER}"
-        if cfg.upper < 4:
-            raise ConfigurationError(f"upper: DE needs a population of >= 4 "
-                                     f"(base + 3 distinct donors), got {cfg.upper}")
-        if cfg.termination.fes_l_max < cfg.lower:
-            raise ConfigurationError(f"termination.fes_l_max: {cfg.termination.fes_l_max} "
-                                     f"cannot cover a lower population of {cfg.lower}")
-        return cfg.validate()
+        return cfg
 
 
-def _build(cls, data, path):
-    """``cls`` from a parsed JSON object.  Each key names an init field of
-    ``cls``; a dataclass-typed field is built from its own object and every
-    other value must fit the field's annotation."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    known = {f.name: f.type for f in fields(cls) if f.init}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigurationError(f"{path}.{key}: unknown key (known: {', '.join(sorted(known))})")
-        want = known[key]
-        if is_dataclass(want):
-            value = _build(want, value, f"{path}.{key}")
-        elif not _fits(want, value):
-            raise ConfigurationError(
-                f"{path}.{key}: expected {getattr(want, '__name__', want)}, got {value!r}")
-        # an int stored as given would hash apart from the equal float
-        kwargs[key] = float(value) if want is float else value
-    return cls(**kwargs)
+def _typed(obj, path):
+    """The init fields of dataclass ``obj`` by name, each checked against its
+    annotation; a section is copied with its own fields checked, and an int
+    in a float field comes back as the equal float, which hashes alike."""
+    values = {}
+    for f in fields(obj):
+        if not f.init:
+            continue
+        value = getattr(obj, f.name)
+        if not _fits(f.type, value):
+            raise ConfigurationError(f"{path}{f.name}: expected {f.type.__name__}, got {value!r}")
+        if is_dataclass(f.type):
+            value = replace(value, **_typed(value, f"{path}{f.name}."))
+        values[f.name] = float(value) if f.type is float else value
+    return values
 
 
 def _fits(annotation, value):
-    """Whether a parsed JSON value fits a field's annotation: a bool is no
-    number, a float must be finite (an int is one), and null fits nothing."""
+    """Whether a value fits a field's annotation: a bool is no number, a
+    float must be finite (an int is one), and None fits nothing."""
     if annotation is bool or isinstance(value, bool):
         return annotation is bool and isinstance(value, bool)
     if annotation is float:
@@ -117,11 +114,24 @@ def _fits(annotation, value):
     return isinstance(value, annotation)
 
 
+def _build(cls, data, path):
+    """``cls`` from a parsed JSON object.  Each key names an init field of
+    ``cls``, and a dataclass-typed field is built from its own object; the
+    errors of ``cls``'s own checks are prefixed with ``path``."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    known = {f.name: f.type for f in fields(cls) if f.init}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in known:
+            raise ConfigurationError(f"{path}.{key}: unknown key (known: {', '.join(sorted(known))})")
+        kwargs[key] = _build(known[key], value, f"{path}.{key}") if is_dataclass(known[key]) else value
+    try:
+        return cls(**kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}.{exc}") from None
+
+
 def harness_config_from_dict(data, path="config") -> HarnessConfig:
-    """Build and validate a HarnessConfig from parsed JSON, with field-path
-    diagnostics on any error."""
-    cfg = _build(HarnessConfig, data, path).validate()
-    # the population sizes, and that the lower budget covers the lower
-    # population, checked before anything runs
-    cfg.resolved(get_problem(cfg.problem))
-    return cfg
+    """A HarnessConfig from parsed JSON; every error names its field path."""
+    return _build(HarnessConfig, data, path)

@@ -50,8 +50,7 @@ def retrain(pool, params: RankNetParams, rng):
                               psi_relu=params.psi_relu, generation_id=params.generation_id,
                               normalizer=Normalizer.fit([ind.x_u for ind in pool]))
     dataset = pdp(pool, base.normalizer)
-    acc = (model_accuracy(params, dataset.under(pool, params.normalizer))
-           if params.generation_id > 0 else None)
+    acc = model_accuracy(params, pdp(pool, params.normalizer)) if params.generation_id > 0 else None
     # each pool point repeated N-1 times, the batch the recorded runs scaled on
     scale_init_to_batch(base, dataset.X[dataset.ia], rng)
     try:

@@ -167,15 +167,6 @@ class PairDataset:
     def __len__(self):
         return len(self.labels)
 
-    def under(self, pool, normalizer):
-        """The same pairs and labels over the points of ``pool``, the pool
-        this dataset was built from, mapped by ``normalizer``.
-
-        Each map needs its own distinct rows: two points can fall onto one
-        row under one map and onto two under another.
-        """
-        return _paired(pool, normalizer, self.labels)
-
 
 def _forward_cached(params, X):
     A0 = X @ params.W_psi.T + params.b_psi
@@ -246,26 +237,12 @@ def _pair_members(N):
     return first, second
 
 
-def _paired(pool, normalizer, labels):
-    """The ``PairDataset`` of every ordered pair of ``pool`` under
-    ``normalizer``, with the given labels."""
-    # Training sums the gradients over the rows of X, so their order is part
-    # of the result: X keeps np.unique's sorted row order, the order every
-    # recorded run was trained with.
-    X, row = np.unique(np.array([normalizer(ind.x_u) for ind in pool]), axis=0,
-                       return_inverse=True)
-    row = row.reshape(-1)
-    first, second = _pair_members(len(pool))
-    return PairDataset(X, row[first], row[second], labels)
-
-
 def pdp(pool, normalizer) -> PairDataset:
     """Paired data preparation: all ordered pairs of an evaluated pool.
 
     For each unordered pair {i, j}, the label of [x_i, x_j] is
     (sgn(F_j - F_i) + 1) / 2 and the reversed pair gets the complement, so a
-    pool of N solutions yields exactly N(N-1) samples.  ``under`` gives the
-    same pairs under another map.
+    pool of N solutions yields exactly N(N-1) samples.
     """
     N = len(pool)
     if N < 2:
@@ -277,7 +254,13 @@ def pdp(pool, normalizer) -> PairDataset:
     # sgn(F_i - F_j) = -sgn(F_j - F_i), so each reversed pair gets the
     # complement
     labels = (np.sign(F[second] - F[first]) + 1.0) / 2.0
-    return _paired(pool, normalizer, labels)
+    # Training sums the gradients over the rows of X, so their order is part
+    # of the result: X keeps np.unique's sorted row order, the order every
+    # recorded run was trained with.
+    X, row = np.unique(np.array([normalizer(ind.x_u) for ind in pool]), axis=0,
+                       return_inverse=True)
+    row = row.reshape(-1)
+    return PairDataset(X, row[first], row[second], labels)
 
 
 def _loss_and_grads(params, dataset: PairDataset):

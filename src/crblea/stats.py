@@ -161,8 +161,8 @@ def config_fingerprint(problem_name, termination):
     """Hash of the problem identity and termination settings.
 
     ``crblea compare`` refuses two configs whose fingerprints differ.  Values
-    hash as stored: the config loader turns an int in a float field into a
-    float, but a rule built in code with an int there hashes apart.
+    hash as stored; a ``HarnessConfig`` stores an int in a float field as the
+    float, so ``1`` and ``1.0`` hash alike.
     """
     import hashlib  # off the import path of a run
 

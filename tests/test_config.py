@@ -3,7 +3,7 @@
 import json
 import pathlib
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -20,6 +20,25 @@ from crblea.problems import get_problem
 from crblea.stats import config_fingerprint
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# values of the wrong type for a field, by its annotation: a bool is no
+# number, an int field takes no float, a float must be finite
+WRONG = {
+    str: [None, 5, True],
+    int: [None, True, "20", 2.5, 20.0],
+    float: [None, True, "1e-06", float("nan"), float("inf"), float("-inf")],
+    bool: [None, 1, "true"],
+}
+
+
+def wrong_values(cls):
+    """(field, value) for every init field of ``cls`` that is no section
+    and every value of the wrong type for it."""
+    return [(f.name, value) for f in fields(cls) if f.init and not is_dataclass(f.type)
+            for value in WRONG[f.type]]
+
+
+SECTIONS = {"termination": TerminationRule, "net": NetConfig}
 
 
 def test_population_formulas():
@@ -60,18 +79,31 @@ def test_omitted_fields_take_the_harness_defaults(data):
 
 
 def test_validate_rejects_bad_mode_problem_runs():
-    with pytest.raises(ConfigurationError):
-        HarnessConfig(mode="turbo").validate()
-    with pytest.raises(ConfigurationError):
-        HarnessConfig(problem="smd99").validate()
-    with pytest.raises(ConfigurationError):
-        HarnessConfig(runs=0).validate()
+    # checked when the config is built, copies included
+    with pytest.raises(ConfigurationError, match="^mode: "):
+        HarnessConfig(mode="turbo")
+    with pytest.raises(ConfigurationError, match="^problem: "):
+        HarnessConfig(problem="smd99")
+    with pytest.raises(ConfigurationError, match="^runs: "):
+        HarnessConfig(runs=0)
+    with pytest.raises(ConfigurationError, match="^runs: "):
+        replace(HarnessConfig(), runs=0)
+    with pytest.raises(ConfigurationError, match="^base_seed: "):
+        replace(HarnessConfig(), base_seed=-1)
 
 
 def test_de_needs_four():
     # rand/1/bin draws a base and 3 distinct donors
-    with pytest.raises(ConfigurationError, match="upper: DE needs"):
-        HarnessConfig(upper=3).resolved(get_problem("smd1"))
+    for upper in (3, -1):
+        with pytest.raises(ConfigurationError, match="^upper: DE needs"):
+            HarnessConfig(upper=upper)
+
+
+def test_lower_budget_covers_the_lower_population():
+    # every lower-level task evaluates its whole initial population, 5 on smd1
+    with pytest.raises(ConfigurationError, match="^termination.fes_l_max: 4 cannot cover"):
+        HarnessConfig(termination=TerminationRule(fes_l_max=4))
+    assert HarnessConfig(termination=TerminationRule(fes_l_max=5)).termination.fes_l_max == 5
 
 
 class TestUpperPopulation:
@@ -139,14 +171,20 @@ class TestFromDict:
             harness_config_from_dict({section: {"seed": 3}})
 
     def test_scalar_type_checked(self):
-        with pytest.raises(ConfigurationError, match="config.runs"):
-            harness_config_from_dict({"runs": "eleven"})
-        with pytest.raises(ConfigurationError, match="config.runs"):
-            harness_config_from_dict({"runs": True})
+        # loaded from a file or built in Python
+        for key, value in [("runs", "eleven"), *wrong_values(HarnessConfig)]:
+            with pytest.raises(ConfigurationError, match=f"^config.{key}: expected"):
+                harness_config_from_dict({key: value})
+            with pytest.raises(ConfigurationError, match=f"^{key}: expected"):
+                HarnessConfig(**{key: value})
 
     def test_section_must_be_object(self):
         with pytest.raises(ConfigurationError, match="config.termination: expected a JSON object"):
             harness_config_from_dict({"termination": "de"})
+        for section, cls in SECTIONS.items():
+            for value in (None, "de", 5, {}, object()):
+                with pytest.raises(ConfigurationError, match=f"^{section}: expected {cls.__name__}"):
+                    HarnessConfig(**{section: value})
 
     def test_unknown_engine(self):
         with pytest.raises(ConfigurationError, match="config.termination.kind: unknown key"):
@@ -154,33 +192,45 @@ class TestFromDict:
 
     @pytest.mark.parametrize("section,key,value", [
         ("upper", "pop_size", "20"), ("upper", "pop_size", 20.0),
-        ("termination", "target_acc", True),
-        ("termination", "target_acc", None), ("termination", "fes_l_max", 2.5),
-        ("net", "psi_relu", 1),
-        ("termination", "upper_var_eps", float("nan")),
-        ("termination", "lower_var_eps", float("inf")),
-        ("termination", "target_acc", float("inf")),
-        ("termination", "upper_var_eps", float("-inf")),
-        ("termination", "lower_var_eps", float("nan")),
+        *[(section, key, value) for section, cls in SECTIONS.items()
+          for key, value in wrong_values(cls)],
     ])
     def test_section_value_type_checked(self, section, key, value):
         # the upper population is the value of "upper" itself
         if section == "upper":
-            data, path = {section: value}, section
+            data, path, kwargs = {section: value}, section, {section: value}
         else:
             data, path = {section: {key: value}}, f"{section}.{key}"
-        with pytest.raises(ConfigurationError, match=f"config.{path}: expected"):
+            kwargs = {section: SECTIONS[section](**{key: value})}
+        with pytest.raises(ConfigurationError, match=f"^config.{path}: expected"):
             harness_config_from_dict(data)
+        with pytest.raises(ConfigurationError, match=f"^{path}: expected"):
+            HarnessConfig(**kwargs)
 
     def test_section_value_types_accepted(self):
-        cfg = harness_config_from_dict({"termination": {"target_acc": 1}, "net": {"psi_relu": False}})
-        assert cfg.termination.target_acc == 1 and cfg.net.psi_relu is False
-        assert type(cfg.termination.target_acc) is float
+        loaded = harness_config_from_dict({"termination": {"target_acc": 1}, "net": {"psi_relu": False}})
+        built = HarnessConfig(termination=TerminationRule(target_acc=1), net=NetConfig(psi_relu=False))
+        for cfg in (loaded, built):
+            assert cfg.termination.target_acc == 1 and cfg.net.psi_relu is False
+            assert type(cfg.termination.target_acc) is float
 
     def test_an_int_and_the_equal_float_share_a_fingerprint(self):
         # compare refuses configs whose fingerprints differ
         a, b = (harness_config_from_dict({"termination": {"upper_var_eps": v}}) for v in (1, 1.0))
-        assert config_fingerprint("smd1", a.termination) == config_fingerprint("smd1", b.termination)
+        c = HarnessConfig(termination=TerminationRule(upper_var_eps=1))
+        assert type(c.termination.upper_var_eps) is float
+        assert (config_fingerprint("smd1", a.termination) == config_fingerprint("smd1", b.termination)
+                == config_fingerprint("smd1", c.termination))
+
+    @pytest.mark.parametrize("data,error", [
+        ({"termination": {"fes_u_max": 0}}, "a.json.termination.fes_u_max: must be positive"),
+        ({"upper": 3}, "a.json.upper: DE needs"),
+        ({"termination": {"fes_l_max": 4}}, "a.json.termination.fes_l_max: 4 cannot cover"),
+        ({"mode": "turbo"}, "a.json.mode: "),
+    ])
+    def test_value_errors_name_the_file(self, data, error):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(error)}"):
+            harness_config_from_dict(data, path="a.json")
 
     def test_not_an_object(self):
         with pytest.raises(ConfigurationError):

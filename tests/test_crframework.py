@@ -64,8 +64,8 @@ class TestRetrain:
     def test_one_pairing_equals_one_pdp_per_map(self):
         # Points 0-2 coincide, 3 and 4 differ by 1e-12 (one row under the
         # old network's wide map, two under the pool's fitted map) and F has
-        # ties.  retrain pairs the pool once and maps it twice; its accuracy
-        # entry and new network must equal those of one pdp per map.
+        # ties.  retrain's accuracy entry and new network must equal those
+        # of one pdp per map.
         X = self.rng.uniform(0, 1, (12, 2))
         X[1] = X[2] = X[0]
         X[3] = [0.5, 0.5]
@@ -120,12 +120,12 @@ def record_run(monkeypatch):
         generations.append(offspring)
         return offspring
 
-    def logging_pdp(pool, normalizer):
+    def logging_retrain(pool, params, rng):
         trainings.append((len(generations), list(pool)))
-        return pdp(pool, normalizer)
+        return retrain(pool, params, rng)
 
     monkeypatch.setattr(crf.NestedRun, "generation", logging_generation)
-    monkeypatch.setattr(crf, "pdp", logging_pdp)
+    monkeypatch.setattr(crf, "retrain", logging_retrain)
     return generations, trainings
 
 

@@ -153,18 +153,6 @@ class TestPdp:
         assert np.array_equal(ds.X[ds.ib], IDENTITY(np.array(xb)))
         assert np.array_equal(ds.labels, np.array(labels))
 
-    def test_under_equals_a_fresh_pdp(self):
-        rng = np.random.default_rng(15)
-        pool = make_pool(rng.integers(0, 3, 10), rng=rng)  # ties included
-        pool[6].x_u = pool[1].x_u.copy()
-        pool[7].x_u = pool[1].x_u + 1e-13  # one row under the coarse map only
-        coarse = Normalizer(np.tile([-1e5, 1e5], (2, 1)))
-        ds = pdp(pool, IDENTITY).under(pool, coarse)
-        ref = pdp(pool, coarse)
-        assert len(ref.X) == 8 and len(pdp(pool, IDENTITY).X) == 9
-        for field in ("X", "ia", "ib", "labels"):
-            assert np.array_equal(getattr(ds, field), getattr(ref, field))
-
     def test_unevaluated_member(self):
         pool = make_pool([1.0, 2.0])
         pool[0].F = None
