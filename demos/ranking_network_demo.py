@@ -34,7 +34,7 @@ def main():
     rng = run.rng  # the network draws its initial weights from the run's stream first
 
     q = NetConfig.width_for(p.m, p.n)
-    params = RankNetParams.init(p.m, p.n, q, rng)
+    params = RankNetParams.init(p.m, p.n, q, rng, normalizer=Normalizer(p.upper_bounds))
     trigger = pool_trigger_size(params)
     print(f"network width q={q}, {params.param_count} parameters "
           f"-> pool trigger N_p={trigger} "
@@ -46,8 +46,7 @@ def main():
         pool.append(run.resolve(rng.uniform(p.upper_bounds[:, 0], p.upper_bounds[:, 1])))
     print(f"  cost: {run.ledger.fes_u} upper + {run.ledger.fes_l} lower FEs")
 
-    normalizer = Normalizer(p.upper_bounds)
-    dataset = pdp(pool, normalizer)
+    dataset = pdp(pool)
     print(f"\ntraining on {len(dataset)} ordered pairs...")
     scale_init_to_batch(params, dataset.X[dataset.ia], rng)
     trained = train(params, dataset)
@@ -56,8 +55,7 @@ def main():
     print(f"  pairwise ranking accuracy on the pool: {model_accuracy(trained, dataset):.3f}")
 
     print("\nreference scores vs true upper objective (sorted by score):")
-    X = np.array([normalizer(ind.x_u) for ind in pool])
-    scores = ranking_scores(trained, X)
+    scores = ranking_scores(trained, [ind.x_u for ind in pool])
     order = np.argsort(-scores)
     true_rank = np.argsort(np.argsort([ind.F for ind in pool]))
     for pos, i in enumerate(order[:8]):

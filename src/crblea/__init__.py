@@ -41,7 +41,6 @@ from .ranknet import (
     pair_forward,
     pdp,
     pool_trigger_size,
-    ranking_score,
     ranking_scores,
     train,
 )
@@ -68,7 +67,7 @@ __all__ = [
     "make_smd", "make_toy", "problem_names",
     "NetConfig", "Normalizer", "PairDataset", "RankNetParams",
     "model_accuracy", "pair_forward", "pdp", "pool_trigger_size",
-    "ranking_score", "ranking_scores", "train",
+    "ranking_scores", "train",
     "RunRecord", "accuracy", "aggregate",
     "resource_saving_rate", "wilcoxon_ranksum",
 ]

@@ -27,8 +27,8 @@ from .config import MODES, HarnessConfig, harness_config_from_dict
 from .crframework import run_single
 from .errors import ConfigurationError, CrbleaError
 from .problems import get_problem, problem_names
-from .stats import (AGGREGATE_FIELDS, RunRecord, accuracy, aggregate, config_fingerprint,
-                    resource_saving_rate, wilcoxon_ranksum)
+from .stats import (AGGREGATE_FIELDS, RunRecord, accuracy, aggregate, resource_saving_rate,
+                    wilcoxon_ranksum)
 
 
 def _atomic_write(path, text):
@@ -133,8 +133,7 @@ def cmd_compare(cfg_base: HarnessConfig, cfg_variant: HarnessConfig, jobs=1, out
         raise ConfigurationError(f"compare: needs at least 2 runs per config, got {cfg_base.runs}")
     if cfg_base.mode == cfg_variant.mode:  # the two arms' run files would share names
         raise ConfigurationError(f"compare: both configs use mode {cfg_base.mode!r}")
-    if (config_fingerprint(cfg_base.problem, cfg_base.termination)
-            != config_fingerprint(cfg_variant.problem, cfg_variant.termination)):
+    if cfg_base.termination != cfg_variant.termination:
         raise ConfigurationError("compare: both configs must use the same termination settings")
     pops = [cfg.resolved(get_problem(cfg.problem)).upper for cfg in (cfg_base, cfg_variant)]
     if pops[0] != pops[1]:  # the saving rate would measure the population, not the gate
@@ -266,7 +265,6 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -37,20 +37,19 @@ from .ranknet import (
 def retrain(pool, params: RankNetParams, rng):
     """Train a new generation of ``params``' width on the evaluated individuals ``pool``.
 
-    Returns ``(params, accuracy_entry)`` where ``accuracy_entry`` is the old
-    network's pairwise accuracy on the fresh dataset (None when the old
-    network was untrained or every pair tied), measured through the old
-    network's input map ``params.normalizer``.  Late pools fill a small
-    corner of the problem box, so the new network is trained on the pool's
-    own bounding box mapped onto the unit cube and carries that map.  On
+    The pool is paired once.  Returns ``(params, accuracy_entry)`` where
+    ``accuracy_entry`` is the old network's pairwise accuracy on that
+    dataset (None when the old network was untrained or every pair tied).
+    Late pools fill a small corner of the problem box, so the new network
+    carries a map of the pool's own bounding box onto the unit cube.  On
     divergence the previous network is returned.  The caller empties the
     pool.
     """
     base = RankNetParams.init(params.m, params.n, params.q, rng,
                               psi_relu=params.psi_relu, generation_id=params.generation_id,
                               normalizer=Normalizer.fit([ind.x_u for ind in pool]))
-    dataset = pdp(pool, base.normalizer)
-    acc = model_accuracy(params, pdp(pool, params.normalizer)) if params.generation_id > 0 else None
+    dataset = pdp(pool)
+    acc = model_accuracy(params, dataset) if params.generation_id > 0 else None
     # each pool point repeated N-1 times, the batch the recorded runs scaled on
     scale_init_to_batch(base, dataset.X[dataset.ia], rng)
     try:
@@ -63,19 +62,19 @@ def pgr(params, P_u, variation, allow_resample=True):
     """Population generation with ranking and resampling.
 
     The current network scores the parents ``P_u`` and the offspring x_u
-    vectors that ``variation`` draws, through ``params.normalizer``.  When
-    even the best offspring scores below the best parent, one more batch is
-    drawn and scored alongside.  Returns the ceil(len(P_u) / 2) top-scoring
-    offspring, ties in the order drawn, and whether resampling fired.
+    vectors that ``variation`` draws.  When even the best offspring scores
+    below the best parent, one more batch is drawn and scored alongside.
+    Returns the ceil(len(P_u) / 2) top-scoring offspring, ties in the order
+    drawn, and whether resampling fired.
     """
-    parent_scores = ranking_scores(params, params.normalizer(np.array([ind.x_u for ind in P_u])))
+    parent_scores = ranking_scores(params, [ind.x_u for ind in P_u])
     offspring = variation()
-    scores = ranking_scores(params, params.normalizer(np.array(offspring)))
+    scores = ranking_scores(params, offspring)
     resampled = allow_resample and bool(scores.max() < parent_scores.max())
     if resampled:
         extra = variation()
         offspring = [*offspring, *extra]
-        scores = np.concatenate([scores, ranking_scores(params, params.normalizer(np.array(extra)))])
+        scores = np.concatenate([scores, ranking_scores(params, extra)])
     order = np.argsort(-scores, kind="stable")[:math.ceil(len(P_u) / 2)]
     return [offspring[i] for i in order], resampled
 

@@ -184,6 +184,8 @@ class NestedRun:
     """
 
     def __init__(self, p: ProblemSpec, cfg, seed):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigurationError(f"seed: expected an int >= 0, got {seed!r}")  # a bool is no number
         self.p = p
         self.cfg = cfg.resolved(p)
         self.rng = np.random.default_rng(seed)

@@ -371,8 +371,6 @@ def problem_names():
 
 def get_problem(name: str) -> ProblemSpec:
     """Look up a problem by registry name ("smd1".."smd12", "tq")."""
-    try:
-        factory = _REGISTRY[name.lower()]
-    except KeyError:
-        raise ConfigurationError(f"unknown problem {name!r}; known: {', '.join(problem_names())}") from None
-    return factory()
+    if not isinstance(name, str) or name.lower() not in _REGISTRY:
+        raise ConfigurationError(f"name: unknown problem {name!r}; known: {', '.join(problem_names())}")
+    return _REGISTRY[name.lower()]()

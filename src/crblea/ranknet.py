@@ -56,7 +56,10 @@ class Normalizer:
         return cls(np.stack([low, np.where(high > low, high, low + 1.0)], axis=1))
 
     def __call__(self, x):
-        return (np.asarray(x, dtype=float) - self.low) / self.width
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != self.low.shape:
+            raise ContractViolationError(f"point shape {x.shape} does not fit {len(self.low)} axes")
+        return (x - self.low) / self.width
 
 
 _PARAM_NAMES = ("W_psi", "b_psi", "W1", "b1", "W2", "b2", "w3", "b3")
@@ -80,9 +83,9 @@ class RankNetParams:
 
     ``theta`` holds every weight, joined in ``_PARAM_NAMES`` order; each
     named weight (``W_psi`` ... ``b3``) is a view of its part of ``theta``,
-    so writing into either changes both.  ``normalizer`` is the map from
-    upper points to the network's inputs that the weights were trained
-    under (None when the caller feeds normalized inputs itself).
+    so writing into either changes both.  ``normalizer`` maps upper points to
+    the network's inputs (by default the unit box, which leaves them bitwise
+    as they are); every function here that takes points maps them through it.
     """
 
     def __init__(self, m, n, q, theta, psi_relu=True, generation_id=0, normalizer=None):
@@ -95,7 +98,7 @@ class RankNetParams:
         for name, sl, shape in _layout(m, n, q):
             setattr(self, name, theta[sl].reshape(shape))
         self.loss_curve = []
-        self.normalizer = normalizer
+        self.normalizer = normalizer or Normalizer(np.tile([0.0, 1.0], (m, 1)))
 
     @classmethod
     def init(cls, m, n, q, rng, psi_relu=True, generation_id=0, normalizer=None):
@@ -120,7 +123,7 @@ class RankNetParams:
 
 def scale_init_to_batch(params: RankNetParams, X, rng):
     """Rescale fresh weights so every pre-activation is centered and unit-scale
-    on the given batch of normalized inputs.
+    on the given batch of upper points, mapped through ``params.normalizer``.
 
     Under plain Glorot initialization many ReLU boundaries fall outside the
     data, and the net starts (and tends to stay) in a nearly affine regime
@@ -131,7 +134,7 @@ def scale_init_to_batch(params: RankNetParams, X, rng):
     0.81 (SMD5) with it, 0.72 and 0.72 without.  Modifies ``params`` in place
     and returns it.
     """
-    X = np.asarray(X, dtype=float)
+    X = params.normalizer(X)
 
     def center(W, b, inputs):
         A = inputs @ W.T + b
@@ -156,7 +159,7 @@ class PairDataset:
     """All ordered pairs drawn from one solution pool (size N(N-1)).
 
     Pair ``k`` compares rows ``ia[k]`` and ``ib[k]`` of ``X``, the pool's
-    distinct normalized points, so the subnet runs once per point.
+    distinct upper points, so the subnet runs once per point.
     """
 
     X: np.ndarray  # (P, m)
@@ -197,7 +200,7 @@ def _backward(params, cache, dS):
 
 
 def subnet_batch(params, X):
-    """Subnet scores for a batch of normalized inputs (B, m) -> (B,)."""
+    """Subnet scores for a batch of network inputs (B, m) -> (B,)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.m:
         raise ContractViolationError(f"input shape {X.shape} incompatible with m={params.m}")
@@ -211,18 +214,14 @@ def _sigmoid(t):
 
 
 def pair_forward(params, x_i, x_j):
-    """Probability that ``x_i`` beats ``x_j`` (both normalized)."""
-    S = subnet_batch(params, np.array([x_i, x_j], dtype=float))
+    """Probability that upper point ``x_i`` beats ``x_j``."""
+    S = subnet_batch(params, params.normalizer([x_i, x_j]))
     return float(_sigmoid(S[0] - S[1]))
 
 
-def ranking_score(params, x):
-    """Reference-based score: compare against a virtual candidate scoring 0."""
-    return float(_sigmoid(subnet_batch(params, np.asarray(x, dtype=float)[None, :])[0]))
-
-
 def ranking_scores(params, X):
-    return _sigmoid(subnet_batch(params, X))
+    """Scores of the upper points ``X`` (B, m) against a virtual candidate scoring 0."""
+    return _sigmoid(subnet_batch(params, params.normalizer(X)))
 
 
 @functools.cache
@@ -237,7 +236,7 @@ def _pair_members(N):
     return first, second
 
 
-def pdp(pool, normalizer) -> PairDataset:
+def pdp(pool) -> PairDataset:
     """Paired data preparation: all ordered pairs of an evaluated pool.
 
     For each unordered pair {i, j}, the label of [x_i, x_j] is
@@ -256,8 +255,9 @@ def pdp(pool, normalizer) -> PairDataset:
     labels = (np.sign(F[second] - F[first]) + 1.0) / 2.0
     # Training sums the gradients over the rows of X, so their order is part
     # of the result: X keeps np.unique's sorted row order, the order every
-    # recorded run was trained with.
-    X, row = np.unique(np.array([normalizer(ind.x_u) for ind in pool]), axis=0,
+    # recorded run was trained with.  A network's map increases on every
+    # axis, so its inputs sort as the upper points do.
+    X, row = np.unique(np.array([ind.x_u for ind in pool], dtype=float), axis=0,
                        return_inverse=True)
     row = row.reshape(-1)
     return PairDataset(X, row[first], row[second], labels)
@@ -267,7 +267,7 @@ def _loss_and_grads(params, dataset: PairDataset):
     """The mean BCE over ``dataset`` and its gradient, laid out as
     ``params.theta``; a non-finite loss raises TrainingDivergenceError."""
     labels = dataset.labels
-    S, cache = _forward_cached(params, dataset.X)
+    S, cache = _forward_cached(params, params.normalizer(dataset.X))
     d = S.take(dataset.ia) - S.take(dataset.ib)
     # softplus(+-d) = log1p(e) + max(+-d, 0) with e = exp(-|d|) <= 1, finite
     # for any finite d
@@ -333,7 +333,7 @@ def model_accuracy(params, dataset: PairDataset):
     mask = dataset.labels != 0.5
     if not np.any(mask):
         return None
-    S = subnet_batch(params, dataset.X)
+    S = subnet_batch(params, params.normalizer(dataset.X))
     y = _sigmoid(S.take(dataset.ia[mask]) - S.take(dataset.ib[mask]))
     labels = dataset.labels[mask]
     correct = ((y > 0.5) & (labels == 1.0)) | ((y < 0.5) & (labels == 0.0))

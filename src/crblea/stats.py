@@ -160,9 +160,9 @@ def aggregate(records):
 def config_fingerprint(problem_name, termination):
     """Hash of the problem identity and termination settings.
 
-    ``crblea compare`` refuses two configs whose fingerprints differ.  Values
-    hash as stored; a ``HarnessConfig`` stores an int in a float field as the
-    float, so ``1`` and ``1.0`` hash alike.
+    Every run record carries it.  Values hash as stored; a ``HarnessConfig``
+    stores an int in a float field as the float, so ``1`` and ``1.0`` hash
+    alike.
     """
     import hashlib  # off the import path of a run
 

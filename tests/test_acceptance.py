@@ -30,7 +30,7 @@ from crblea import (
     wilcoxon_ranksum,
 )
 from crblea.cli import run_single
-from crblea.ranknet import Normalizer, RankNetParams, pair_forward, ranking_score
+from crblea.ranknet import RankNetParams, pair_forward, ranking_scores
 
 
 def verdict(num, ok, detail):
@@ -119,9 +119,8 @@ def test_criterion_6_exact_arithmetic():
     checks.append(accuracy(5.0, 5.0) == 1e-6)
     rate = resource_saving_rate(1.28e4, 2.03e4)
     checks.append(36.9 <= rate <= 37.1)
-    norm = Normalizer(np.tile([0.0, 1.0], (2, 1)))
     for N in (2, 6, 11):
-        ds = pdp(test_ranknet.make_pool(range(N)), norm)
+        ds = pdp(test_ranknet.make_pool(range(N)))
         checks.append(len(ds) == N * (N - 1))
     from types import SimpleNamespace
 
@@ -146,8 +145,8 @@ def test_criterion_7_numerical_properties():
         xi, xj = rng.uniform(0, 1, (2, 2))
         worst_anti = max(worst_anti, abs(
             pair_forward(params, xi, xj) + pair_forward(params, xj, xi) - 1.0))
-        if (ranking_score(params, xi) > ranking_score(params, xj)) != (
-                pair_forward(params, xi, xj) > 0.5):
+        s_i, s_j = ranking_scores(params, [xi, xj])
+        if (s_i > s_j) != (pair_forward(params, xi, xj) > 0.5):
             failures.append("score/pair inconsistency")
         x = rng.uniform(0, 1, 2)
         if pair_forward(params, x, x) != 0.5:

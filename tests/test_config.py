@@ -41,6 +41,15 @@ def wrong_values(cls):
 SECTIONS = {"termination": TerminationRule, "net": NetConfig}
 
 
+def test_settable_value_count():
+    # each init field that is no section, and each field of every section; a
+    # change that adds or removes a config value edits this count and says so
+    def count(cls):
+        return sum(count(f.type) if is_dataclass(f.type) else 1 for f in fields(cls) if f.init)
+
+    assert count(HarnessConfig) == 14
+
+
 def test_population_formulas():
     assert default_upper_pop(2, 3) == 5  # 4 + floor(ln 5)
     assert default_lower_pop(3) == 5     # 4 + floor(ln 3)

@@ -61,11 +61,11 @@ class TestRetrain:
         assert params2.generation_id == 2
         assert acc is not None and 0.0 <= acc <= 1.0
 
-    def test_one_pairing_equals_one_pdp_per_map(self):
-        # Points 0-2 coincide, 3 and 4 differ by 1e-12 (one row under the
+    def test_one_pairing_serves_both_networks(self, monkeypatch):
+        # Points 0-2 coincide, 3 and 4 differ by 1e-12 (one input under the
         # old network's wide map, two under the pool's fitted map) and F has
-        # ties.  retrain's accuracy entry and new network must equal those
-        # of one pdp per map.
+        # ties.  retrain pairs the pool once, and its accuracy entry and new
+        # network are those of that one dataset.
         X = self.rng.uniform(0, 1, (12, 2))
         X[1] = X[2] = X[0]
         X[3] = [0.5, 0.5]
@@ -74,17 +74,23 @@ class TestRetrain:
         entries = [evaluated(x, f) for x, f in zip(X, F)]
         wide = Normalizer(np.tile([-1e6, 1e6], (2, 1)))
         old = RankNetParams.init(2, 2, 2, self.rng, generation_id=1, normalizer=wide)
-        assert len(pdp(entries, wide).X) == 9 and len(pdp(entries, Normalizer.fit(X)).X) == 10
+        ds = pdp(entries)
+        assert len(ds.X) == 10 and len(np.unique(wide(ds.X), axis=0)) == 9
+        pairings = []
 
+        def counted_pdp(pool):
+            pairings.append(pool)
+            return pdp(pool)
+
+        monkeypatch.setattr(crf, "pdp", counted_pdp)
         params, acc = retrain(entries, old, np.random.default_rng(5))
 
+        assert len(pairings) == 1 and pairings[0] is entries
         rng = np.random.default_rng(5)
-        ref_acc = model_accuracy(old, pdp(entries, wide))
         base = RankNetParams.init(2, 2, 2, rng, generation_id=1, normalizer=Normalizer.fit(X))
-        ds = pdp(entries, base.normalizer)
         scale_init_to_batch(base, ds.X[ds.ia], rng)
         ref = train(base, ds)
-        assert acc is not None and acc == ref_acc
+        assert acc is not None and acc == model_accuracy(old, ds)
         assert params.loss_curve == ref.loss_curve
         for k in _PARAM_NAMES:
             assert np.array_equal(getattr(params, k), getattr(ref, k))
@@ -102,7 +108,7 @@ class TestRetrain:
         monkeypatch.setattr(crf, "train", diverge)
         params, acc = retrain(pool, old, self.rng)
         assert params is old
-        assert acc is not None and acc == model_accuracy(old, pdp(pool, old.normalizer))
+        assert acc is not None and acc == model_accuracy(old, pdp(pool))
 
 
 def diverge(*args, **kwargs):
@@ -160,7 +166,8 @@ class TestTrainingPools:
 
 
 class FixedScores:
-    """Deterministic stand-in for the network scoring used by pgr."""
+    """Deterministic stand-in for the network scoring used by pgr; it
+    receives the upper points themselves."""
 
     def __init__(self, mapping):
         self.mapping = mapping  # x[0] value -> score
@@ -185,9 +192,7 @@ def rows(*xs):
 
 
 class TestPgr:
-    # scores are looked up by the network input, which the identity map
-    # leaves equal to x_u
-    NET = RankNetParams.init(2, 2, 2, np.random.default_rng(0), normalizer=IDENTITY)
+    NET = RankNetParams.init(2, 2, 2, np.random.default_rng(0))
 
     def variation_factory(self, batches):
         batches = iter(batches)
@@ -268,6 +273,9 @@ class TestFullRun:
     def test_mode_validation(self):
         with pytest.raises(ConfigurationError):
             run_single(small_config(mode="bogus"), 0)
+        for seed in (-1, 1.5, True):  # a bool is no number
+            with pytest.raises(ConfigurationError, match="seed"):
+                run_single(small_config(), seed)
 
     @pytest.mark.parametrize("mode", ["nested", "cr", "cr_no_net", "cr_no_resample"])
     def test_modes_complete(self, mode):

@@ -35,8 +35,9 @@ def test_get_problem_case_insensitive():
 
 
 def test_get_problem_unknown():
-    with pytest.raises(ConfigurationError):
-        get_problem("smd99")
+    for name in ("smd99", 5, None):
+        with pytest.raises(ConfigurationError, match="name"):
+            get_problem(name)
 
 
 @pytest.mark.parametrize("name", ALL_SMD)

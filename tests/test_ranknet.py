@@ -18,7 +18,6 @@ from crblea import (
     pair_forward,
     pdp,
     pool_trigger_size,
-    ranking_score,
     ranking_scores,
     train,
 )
@@ -42,9 +41,6 @@ def make_pool(F_values, rng=None, m=2):
                         F=float(F), f_star=0.0)
         for F in F_values
     ]
-
-
-IDENTITY = Normalizer(np.tile([0.0, 1.0], (2, 1)))
 
 
 def fresh_params(m=2, n=3, q=4, seed=0):
@@ -71,6 +67,47 @@ def test_normalizer_fit_maps_bounding_box_to_unit_cube():
     assert np.allclose(norm([1.25, 4.0]), [0.5, 1.0])  # a flat axis keeps unit width
 
 
+def test_normalizer_refuses_points_of_another_width():
+    # a (B, 1) batch would otherwise broadcast across both axes
+    for X in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(3), 0.5):
+        with pytest.raises(ContractViolationError):
+            Normalizer(np.tile([0.0, 1.0], (2, 1)))(X)
+        with pytest.raises(ContractViolationError):
+            ranking_scores(fresh_params(), X)
+
+
+def test_default_map_leaves_points_bitwise_unchanged():
+    params = fresh_params()
+    X = np.random.default_rng(15).normal(size=(50, 2)) * np.logspace(-300, 300, 50)[:, None]
+    X[0] = [-0.0, 0.0]
+    assert params.normalizer is not None and params.copy().normalizer is params.normalizer
+    assert params.normalizer(X).tobytes() == X.tobytes()
+
+
+def test_every_entry_point_maps_upper_points_through_the_networks_own_map():
+    # a network with a map scores, pairs, trains and initializes on upper
+    # points exactly as its unmapped twin does on the mapped points
+    norm = Normalizer(np.array([[-5.0, 10.0], [0.0, 2.0]]))
+    rng = np.random.default_rng(16)
+    pool = make_pool(rng.normal(size=9), rng=rng)
+    for ind in pool:
+        ind.x_u = ind.x_u * [15.0, 2.0] + [-5.0, 0.0]
+    ds = pdp(pool)
+    mapped = PairDataset(norm(ds.X), ds.ia, ds.ib, ds.labels)
+    params = RankNetParams.init(2, 3, 6, np.random.default_rng(17), normalizer=norm)
+    twin = RankNetParams(2, 3, 6, params.theta.copy())
+    scale_init_to_batch(params, ds.X[ds.ia], np.random.default_rng(18))
+    scale_init_to_batch(twin, mapped.X[mapped.ia], np.random.default_rng(18))
+    assert np.array_equal(params.theta, twin.theta)
+    assert np.array_equal(ranking_scores(params, ds.X), ranking_scores(twin, mapped.X))
+    assert pair_forward(params, *ds.X[:2]) == pair_forward(twin, *mapped.X[:2])
+    assert model_accuracy(params, ds) == model_accuracy(twin, mapped)
+    loss, grads = _loss_and_grads(params, ds)
+    twin_loss, twin_grads = _loss_and_grads(twin, mapped)
+    assert loss == twin_loss and np.array_equal(grads, twin_grads)
+    assert train(params, ds, epochs=5).loss_curve == train(twin, mapped, epochs=5).loss_curve
+
+
 def pair_loop_loss(params, pool):
     """Mean BCE over every ordered pair of ``pool``, each pair scored on its
     own."""
@@ -79,7 +116,7 @@ def pair_loop_loss(params, pool):
         for j, b in enumerate(pool):
             if i != j:
                 label = (np.sign(b.F - a.F) + 1.0) / 2.0
-                p = pair_forward(params, IDENTITY(a.x_u), IDENTITY(b.x_u))
+                p = pair_forward(params, a.x_u, b.x_u)
                 terms.append(-(label * np.log(p) + (1.0 - label) * np.log(1.0 - p)))
     return np.mean(terms)
 
@@ -89,7 +126,7 @@ def test_pair_loss_matches_per_pair_evaluation():
     # mean BCE over every pair scored on its own.
     params = fresh_params()
     pool = make_pool(np.random.default_rng(1).normal(size=7))
-    loss, _ = _loss_and_grads(params, pdp(pool, IDENTITY))
+    loss, _ = _loss_and_grads(params, pdp(pool))
     assert loss == pytest.approx(pair_loop_loss(params, pool), rel=1e-12)
 
 
@@ -99,8 +136,8 @@ def test_duplicate_points_share_one_row():
     for k, src in ((4, 0), (7, 0), (8, 2)):
         pool[k].x_u = pool[src].x_u.copy()
     N = len(pool)
-    ds = pdp(pool, IDENTITY)
-    rows = IDENTITY(np.array([ind.x_u for ind in pool]))
+    ds = pdp(pool)
+    rows = np.array([ind.x_u for ind in pool])
     assert len(ds.X) == N - 3 and len(ds) == N * (N - 1)
     # np.unique's row order: the order in which training sums the gradients
     assert np.array_equal(ds.X, np.unique(rows, axis=0))
@@ -120,22 +157,22 @@ def test_duplicate_points_share_one_row():
 class TestPdp:
     def test_sample_count_is_n_times_n_minus_1(self):
         for N in (2, 5, 9):
-            ds = pdp(make_pool(range(N)), IDENTITY)
+            ds = pdp(make_pool(range(N)))
             assert len(ds) == N * (N - 1)
 
     def test_labels_and_complements(self):
-        ds = pdp(make_pool([1.0, 3.0]), IDENTITY)
+        ds = pdp(make_pool([1.0, 3.0]))
         # first ordered pair: F_j - F_i = 2 > 0 -> label 1; reverse -> 0
         assert ds.labels.tolist() == [1.0, 0.0]
         assert ds.ia[0] == ds.ib[1] and ds.ib[0] == ds.ia[1]
 
     def test_tie_label(self):
-        ds = pdp(make_pool([2.0, 2.0]), IDENTITY)
+        ds = pdp(make_pool([2.0, 2.0]))
         assert ds.labels.tolist() == [0.5, 0.5]
 
     def test_pool_too_small(self):
         with pytest.raises(ContractViolationError):
-            pdp(make_pool([1.0]), IDENTITY)
+            pdp(make_pool([1.0]))
 
     @pytest.mark.parametrize("N", [2, 3, 8, 25])
     def test_matches_the_pairwise_loop(self, N):
@@ -148,16 +185,16 @@ class TestPdp:
                 xa += [pool[i].x_u, pool[j].x_u]
                 xb += [pool[j].x_u, pool[i].x_u]
                 labels += [(l + 1.0) / 2.0, (-l + 1.0) / 2.0]
-        ds = pdp(pool, IDENTITY)
-        assert np.array_equal(ds.X[ds.ia], IDENTITY(np.array(xa)))
-        assert np.array_equal(ds.X[ds.ib], IDENTITY(np.array(xb)))
+        ds = pdp(pool)
+        assert np.array_equal(ds.X[ds.ia], np.array(xa))
+        assert np.array_equal(ds.X[ds.ib], np.array(xb))
         assert np.array_equal(ds.labels, np.array(labels))
 
     def test_unevaluated_member(self):
         pool = make_pool([1.0, 2.0])
         pool[0].F = None
         with pytest.raises(ContractViolationError):
-            pdp(pool, IDENTITY)
+            pdp(pool)
 
 
 class TestPairForward:
@@ -179,13 +216,14 @@ class TestPairForward:
         for _ in range(20):
             xi, xj = rng.uniform(0, 1, (2, 2))
             wins = pair_forward(params, xi, xj) > 0.5
-            assert (ranking_score(params, xi) > ranking_score(params, xj)) == wins
+            s_i, s_j = ranking_scores(params, [xi, xj])
+            assert (s_i > s_j) == wins
 
     def test_batch_matches_singles(self):
         params = fresh_params(seed=6)
         X = np.random.default_rng(7).uniform(0, 1, (6, 2))
         batch = ranking_scores(params, X)
-        singles = [ranking_score(params, x) for x in X]
+        singles = [ranking_scores(params, x[None, :])[0] for x in X]
         assert np.allclose(batch, singles)
 
     def test_input_shape_checked(self):
@@ -274,7 +312,7 @@ def test_training_separable_data():
     rng = np.random.default_rng(8)
     pool = [UpperIndividual(x_u=x, x_l_star=np.zeros(2), F=float(x[0]), f_star=0.0)
             for x in rng.uniform(0, 1, (12, 2))]
-    ds = pdp(pool, IDENTITY)
+    ds = pdp(pool)
     params = RankNetParams.init(2, 3, 8, rng)
     scale_init_to_batch(params, ds.X[ds.ia], rng)
     trained = train(params, ds, epochs=200, lr=0.1)
@@ -287,7 +325,7 @@ def test_train_equals_adam_on_each_weight_array():
     # train() runs Adam over one flat vector of all weights; it must give
     # what Adam run on each weight array separately gives
     rng = np.random.default_rng(4)
-    ds = pdp(make_pool(rng.normal(size=9), rng=rng), IDENTITY)
+    ds = pdp(make_pool(rng.normal(size=9), rng=rng))
     params = RankNetParams.init(2, 3, 6, rng)
     scale_init_to_batch(params, ds.X[ds.ia], rng)
     epochs, lr = 30, 0.1
@@ -326,7 +364,7 @@ def test_train_bits_pinned():
     pool = [UpperIndividual(x_u=x, x_l_star=np.zeros(3), F=float(f), f_star=0.0)
             for x, f in zip(X, F)]
     params = RankNetParams.init(2, 3, 8, rng, normalizer=Normalizer.fit(X))
-    ds = pdp(pool, params.normalizer)
+    ds = pdp(pool)
     assert (len(ds.X), len(np.unique(F))) == (34, 24)
     scale_init_to_batch(params, ds.X[ds.ia], rng)
     trained = train(params, ds, epochs=200, lr=0.1)
@@ -348,7 +386,7 @@ def assert_flat_layout(params):
 
 def test_weights_stay_views_of_one_flat_vector():
     rng = np.random.default_rng(12)
-    ds = pdp(make_pool(rng.normal(size=8), rng=rng), IDENTITY)
+    ds = pdp(make_pool(rng.normal(size=8), rng=rng))
     params = RankNetParams.init(2, 3, 4, rng)
     assert_flat_layout(params)
     copy = params.copy()
@@ -378,7 +416,7 @@ def test_training_divergence_raises():
 def test_training_divergence_after_the_last_step_raises():
     # one epoch: the loss before the step is finite, the step at this lr
     # overflows the weights, and the final loss is not
-    ds = pdp(make_pool(range(6)), IDENTITY)
+    ds = pdp(make_pool(range(6)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergenceError):
         train(fresh_params(), ds, epochs=1, lr=1e300)
 
@@ -387,7 +425,7 @@ def test_train_does_not_mutate_input_params():
     rng = np.random.default_rng(9)
     params = fresh_params(seed=9)
     before = {k: getattr(params, k).copy() for k in _PARAM_NAMES}
-    ds = pdp(make_pool(range(6), rng=rng), IDENTITY)
+    ds = pdp(make_pool(range(6), rng=rng))
     train(params, ds, epochs=10)
     for k in _PARAM_NAMES:
         assert np.array_equal(before[k], getattr(params, k))
@@ -416,7 +454,7 @@ class TestModelAccuracy:
         rng = np.random.default_rng(10)
         pool = [UpperIndividual(x_u=x, x_l_star=np.zeros(2), F=float(x[0]), f_star=0.0)
                 for x in rng.uniform(0, 1, (8, 2))]
-        ds = pdp(pool, IDENTITY)
+        ds = pdp(pool)
         params = RankNetParams.init(2, 3, 8, rng)
         scale_init_to_batch(params, ds.X[ds.ia], rng)
         trained = train(params, ds, epochs=300, lr=0.1)
@@ -432,7 +470,7 @@ class TestModelAccuracy:
                 for x in rng.uniform(0, 1, (10, 2))]  # F ties included
         pool[9].x_u = pool[0].x_u.copy()  # one point with two values: its pairs tie
         pool[9].F = pool[0].F + 1.0
-        ds = pdp(pool, IDENTITY)
+        ds = pdp(pool)
         params = RankNetParams.init(2, 3, 8, rng)
         scale_init_to_batch(params, ds.X[ds.ia], rng)
         trained = train(params, ds, epochs=100, lr=0.1)
@@ -446,7 +484,7 @@ class TestModelAccuracy:
         assert model_accuracy(trained, ds) == correct / total
 
     def test_all_ties_returns_none(self):
-        ds = pdp(make_pool([1.0, 1.0, 1.0]), IDENTITY)
+        ds = pdp(make_pool([1.0, 1.0, 1.0]))
         assert model_accuracy(fresh_params(), ds) is None
 
 
