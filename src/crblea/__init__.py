@@ -14,7 +14,6 @@ from .errors import (
     EvaluationError,
     TrainingDivergenceError,
 )
-from .ledger import EvalLedger
 from .nested import (
     NestedRun,
     TerminationRule,
@@ -24,6 +23,7 @@ from .nested import (
 )
 from .optimizers import init_search, step
 from .problems import (
+    EvalLedger,
     ProblemSpec,
     evaluate_lower,
     evaluate_upper,
@@ -59,11 +59,10 @@ __all__ = [
     "pgr", "retrain", "run_single",
     "CrbleaError", "ContractViolationError", "ConfigurationError",
     "EvaluationError", "TrainingDivergenceError",
-    "EvalLedger",
     "NestedRun", "TerminationRule", "UpperIndividual", "environmental_selection",
     "lower_level_search",
     "init_search", "step",
-    "ProblemSpec", "evaluate_upper", "evaluate_lower", "get_problem",
+    "EvalLedger", "ProblemSpec", "evaluate_upper", "evaluate_lower", "get_problem",
     "make_smd", "make_toy", "problem_names",
     "NetConfig", "Normalizer", "PairDataset", "RankNetParams",
     "model_accuracy", "pair_forward", "pdp", "pool_trigger_size",

@@ -126,7 +126,7 @@ def run_single(cfg, seed):
         stop_reason = run.stop_reason()
 
     return run.record(
-        seed, stop_reason,
+        stop_reason,
         model_acc_history=model_acc_history,
         # each successful training adds one
         trainings_done=params.generation_id if params else 0,

@@ -13,9 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
-from .ledger import EvalLedger
 from .optimizers import _ff_key, de_trial, init_search, step
-from .problems import ProblemSpec, evaluate_lower, evaluate_upper
+from .problems import EvalLedger, ProblemSpec, evaluate_lower, evaluate_upper
 from .stats import RunRecord, accuracy, config_fingerprint
 
 
@@ -60,6 +59,11 @@ class UpperIndividual:
         return self
 
 
+def _stalled(values, window, eps):
+    """Whether the last ``window`` of ``values`` span less than ``eps``."""
+    return len(values) >= window and max(values[-window:]) - min(values[-window:]) < eps
+
+
 def lower_level_search(p: ProblemSpec, x_u, pop_size, rule: TerminationRule,
                        ledger: EvalLedger, rng, *, start=None):
     """Optimize ``f(x_u, .)`` until the task budget or stagnation window hits.
@@ -89,11 +93,8 @@ def lower_level_search(p: ProblemSpec, x_u, pop_size, rule: TerminationRule,
     # would instead abort tasks during transient no-improvement streaks while
     # the population is still spread out, leaving large unresolved residuals
     # that poison the upper-level objective.
-    w = rule.fes_l_var_window
     state = init_search(pop_size, p.lower_bounds, objective, rng=rng, start=start)
-    while len(hist) < budget:
-        if len(hist) >= w and max(hist[-w:]) - min(hist[-w:]) < rule.lower_var_eps:
-            break
+    while len(hist) < budget and not _stalled(hist, rule.fes_l_var_window, rule.lower_var_eps):
         step(state, objective, budget - len(hist))
     return state.best
 
@@ -153,8 +154,7 @@ def check_upper_termination(ledger: EvalLedger, best_history, rule: TerminationR
     """
     if ledger.fes_u >= rule.fes_u_max:
         return "budget"
-    w = rule.fes_u_var_window
-    if len(best_history) >= w and max(best_history[-w:]) - min(best_history[-w:]) < rule.upper_var_eps:
+    if _stalled(best_history, rule.fes_u_var_window, rule.upper_var_eps):
         return "stagnation"
     if known_opt is not None and best_history and best_feasible:
         if abs(best_history[-1] - known_opt[0]) < rule.target_acc:
@@ -175,12 +175,15 @@ def upper_variation(P_u, bounds, rng):
 class NestedRun:
     """The state of one seeded run of the nested BLEA, and its steps.
 
-    It holds the problem ``p``, the resolved ``cfg``, the run's ``rng``, its
-    ``ledger`` and ``archive``, the upper population ``P_u``, the
-    feasibility-first ``best`` individual resolved so far and ``history``,
-    the elitist F after each upper FE.  ``crframework.run_single`` drives
-    a run only through its methods; the modes differ in which offspring
-    points they hand to ``generation``.
+    It holds the problem ``p``, the resolved ``cfg``, the ``seed`` and the
+    ``rng`` it seeds, the run's ``ledger`` and ``archive``, the upper
+    population ``P_u``, the feasibility-first ``best`` individual resolved
+    so far, ``history``, the elitist F after each upper FE, and ``trace``,
+    the convergence checkpoints ``(fes_t, best F)``: one after ``start``,
+    one after each ``generation`` and one after the re-solves of
+    ``confirm_elite``.  ``crframework.run_single`` drives a run only through
+    its methods; the modes differ in which offspring points they hand to
+    ``generation``.
     """
 
     def __init__(self, p: ProblemSpec, cfg, seed):
@@ -188,12 +191,14 @@ class NestedRun:
             raise ConfigurationError(f"seed: expected an int >= 0, got {seed!r}")  # a bool is no number
         self.p = p
         self.cfg = cfg.resolved(p)
+        self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
         self.ledger = EvalLedger()
         self.archive = ResponseArchive(p.upper_bounds)
         self.P_u = []
         self.best = None
         self.history = []
+        self.trace = []
 
     def _solve(self, ind):
         """Run the lower-level search for ``ind.x_u`` and evaluate the upper
@@ -243,7 +248,7 @@ class NestedRun:
         low, high = self.p.upper_bounds[:, 0], self.p.upper_bounds[:, 1]
         xs = (self.rng.uniform(low, high) for _ in range(self.cfg.upper))
         self.P_u = self.resolve_all(xs)
-        self.ledger.checkpoint(self.best.F)
+        self.trace.append((self.ledger.fes_t, float(self.best.F)))
         return self.P_u
 
     def variation(self):
@@ -258,7 +263,7 @@ class NestedRun:
         offspring = self.resolve_all(xs)
         if offspring:
             self.P_u = environmental_selection(self.P_u + offspring, self.cfg.upper)
-        self.ledger.checkpoint(self.best.F)
+        self.trace.append((self.ledger.fes_t, float(self.best.F)))
         return offspring
 
     def confirm_elite(self):
@@ -270,10 +275,10 @@ class NestedRun:
         stagnation, the best individual's task is run once more, started from
         its own response and its neighbours' in the archive; a better
         response replaces the old one and the upper level is evaluated again.
-        Each individual is re-solved at most once, and every evaluation is
-        counted by the ledger, which records a convergence checkpoint after
-        the re-solves.  The best is re-picked from ``P_u`` after each
-        re-solve and recorded for the upper FE it cost.
+        Each individual is re-solved at most once, the ledger counts every
+        evaluation, and a convergence checkpoint follows the re-solves.
+        The best is re-picked from ``P_u`` after each re-solve and recorded
+        for the upper FE it cost.
         """
         fes_t = self.ledger.fes_t
         while not self.best.confirmed and self.ledger.fes_u < self.cfg.termination.fes_u_max:
@@ -281,7 +286,7 @@ class NestedRun:
             self.best = min(self.P_u, key=lambda ind: _ff_key(ind.F, ind.violation))
             self.history.append(self.best.F)
         if self.ledger.fes_t != fes_t:
-            self.ledger.checkpoint(self.best.F)
+            self.trace.append((self.ledger.fes_t, float(self.best.F)))
 
     def _termination(self):
         return check_upper_termination(self.ledger, self.history, self.cfg.termination,
@@ -296,7 +301,7 @@ class NestedRun:
             reason = self._termination()
         return reason
 
-    def record(self, seed, stop_reason, model_acc_history, trainings_done,
+    def record(self, stop_reason, model_acc_history, trainings_done,
                resamplings, pool_trigger) -> RunRecord:
         """The RunRecord of the finished run; the last four fields are the
         run loop's own counts."""
@@ -306,13 +311,13 @@ class NestedRun:
         return RunRecord(
             problem=self.p.name,
             mode=cfg.mode,
-            seed=int(seed),
+            seed=self.seed,
             acc_u=accuracy(best.F, F_r),
             acc_l=accuracy(best.f_star, f_r),
             fes_u=ledger.fes_u,
             fes_l=ledger.fes_l,
             fes_t=ledger.fes_t,
-            trace=list(ledger.trace),
+            trace=list(self.trace),
             model_acc_history=list(model_acc_history),
             trainings_done=trainings_done,
             config_fingerprint=config_fingerprint(self.p.name, cfg.termination),

@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, EvaluationError
-from .ledger import EvalLedger
 
 Array = np.ndarray
 # ndarray.sum() reaches this ufunc method through numpy's Python-level
@@ -60,6 +59,25 @@ class ProblemSpec:
                 raise ContractViolationError(f"{self.name}: {label} bounds shape {bounds.shape} != ({d}, 2)")
             if not np.all(bounds[:, 0] < bounds[:, 1]):
                 raise ContractViolationError(f"{self.name}: {label} bounds must satisfy low < high")
+
+
+@dataclass
+class EvalLedger:
+    """The upper- and lower-level function evaluations of one run, counted
+    by ``evaluate_upper`` and ``evaluate_lower``."""
+
+    fes_u: int = 0
+    fes_l: int = 0
+
+    @property
+    def fes_t(self):
+        return self.fes_u + self.fes_l
+
+    def count_upper(self):
+        self.fes_u += 1
+
+    def count_lower(self):
+        self.fes_l += 1
 
 
 def _check_point(p: ProblemSpec, x_u, x_l):
@@ -206,9 +224,10 @@ def _smd6_f2(v):
 
 
 def _round_off(v):
-    """Distance of the sum of squares from its nearest integer (SMD9)."""
+    """SMD9's published ``term - floor(term + 0.5) >= 0`` on the sum of
+    squares ``term``, in this module's "<= 0 feasible" form."""
     term = _sum(v**2)
-    return np.array([term - np.floor(term + 0.5)])
+    return np.array([np.floor(term + 0.5) - term])
 
 
 @functools.cache

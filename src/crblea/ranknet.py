@@ -145,11 +145,9 @@ def scale_init_to_batch(params: RankNetParams, X, rng):
 
     # the biases are views of params.theta: write into them, never rebind
     params.b_psi[:] = center(params.W_psi, params.b_psi, X)
-    A0 = X @ params.W_psi.T + params.b_psi
-    H0 = np.maximum(A0, 0.0) if params.psi_relu else A0
-    Z = np.concatenate([X, H0], axis=1)
+    Z = _forward_cached(params, X)[1][2]  # the cache is (X, A0, Z, A1, H1, A2, H2)
     params.b1[:] = center(params.W1, params.b1, Z) + rng.normal(0.0, 0.3, params.b1.shape)
-    H1 = np.maximum(Z @ params.W1.T + params.b1, 0.0)
+    H1 = _forward_cached(params, X)[1][4]
     params.b2[:] = center(params.W2, params.b2, H1) + rng.normal(0.0, 0.3, params.b2.shape)
     return params
 

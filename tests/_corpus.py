@@ -10,7 +10,7 @@ the code, empty the protocol directory in a copy of the checkout, run this
 script there and compare the JSON files byte for byte with the committed
 ones.  The tests only read the cache: a missing record raises an error
 naming this script.  Running it computes every missing record on all cores
-(about 9.5 min for the whole corpus on 2 cores) and stores each as it
+(4-5 min for the whole corpus on 2 cores) and stores each as it
 arrives, so a rerun after an interruption computes only what is missing:
 
     python3 tests/_corpus.py

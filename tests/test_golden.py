@@ -121,7 +121,7 @@ EVALUATION_SHA1 = {
     "smd6": "91b2441797cb9f067dbdbf621fa7fe818e958982",
     "smd7": "80efa41e00c4b0e7c162f0a60f96792ef0d77ef2",
     "smd8": "c5cf3b0f3138f12ab74b3c2dfbf1bd7e3f9fbd5b",
-    "smd9": "13d3fdaa7d2edbb62a90bde3f6aace22f5b11da8",
+    "smd9": "4bd6f9bc248cf8d6b9edcb9267967edf3505f5f0",
     "tq": "a4d90f0c72d7c9d5f76e66261a14de26f365d94b",
 }
 

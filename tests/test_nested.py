@@ -381,8 +381,8 @@ def test_confirm_elite_corrects_an_unresolved_best():
     spent_u = ledger.fes_u - fes_u
     assert ledger.fes_l - fes_l <= spent_u * cfg.termination.fes_l_max
     assert len(run.history) == len(P_u) + spent_u
-    assert ledger.trace == [(ledger.fes_t, run.best.F)]
+    assert run.trace == [(ledger.fes_t, run.best.F)]
 
-    before = (ledger.fes_u, ledger.fes_l, len(ledger.trace))
+    before = (ledger.fes_u, ledger.fes_l, len(run.trace))
     run.confirm_elite()
-    assert (ledger.fes_u, ledger.fes_l, len(ledger.trace)) == before  # a confirmed best is not re-solved
+    assert (ledger.fes_u, ledger.fes_l, len(run.trace)) == before  # a confirmed best is not re-solved

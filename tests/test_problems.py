@@ -169,16 +169,20 @@ def test_finite_constraints_give_the_exact_feasibility_flag(cons, feasible):
         assert out.tobytes() == np.array(cons, dtype=float).tobytes()
 
 
-def test_smd9_constraints_active_away_from_integers():
+def test_smd9_constraints_hold_up_to_half_a_unit_above_an_integer():
+    # the published constraint is term - floor(term + 0.5) >= 0 on the sum
+    # of squares term of each level's variables: 0.3 and 1.2 hold it, 0.7
+    # misses it by 0.3
     p = get_problem("smd9")
     ledger = EvalLedger()
-    # sum of squares 0.3 -> fractional part 0.3 > 0: infeasible at both levels
-    x_u = np.array([np.sqrt(0.3), 0.0])
-    x_l = np.array([np.sqrt(0.3), 0.0, 0.0])
-    _, G, viol_u = evaluate_upper(p, x_u, x_l, ledger)
-    _, g, viol_l = evaluate_lower(p, x_u, x_l, ledger)
-    assert viol_u > 0.0 and viol_l > 0.0
-    assert G.shape == (1,) and g.shape == (1,)
+    for term, violation in ((0.3, 0.0), (1.2, 0.0), (0.7, 0.3)):
+        x_u = np.array([np.sqrt(term), 0.0])
+        x_l = np.array([np.sqrt(term), 0.0, 0.0])
+        _, G, viol_u = evaluate_upper(p, x_u, x_l, ledger)
+        _, g, viol_l = evaluate_lower(p, x_u, x_l, ledger)
+        assert G.shape == (1,) and g.shape == (1,)
+        assert viol_u == pytest.approx(violation, abs=1e-12)
+        assert viol_l == pytest.approx(violation, abs=1e-12)
 
 
 def test_make_smd_dimension_validation():
