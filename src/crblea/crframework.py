@@ -6,11 +6,12 @@ the mode's trigger, the run switches for good to the allocated loop, where
 the mode's gate picks the offspring that get a lower-level search.  The
 nested baseline triggers at 0 and its gate passes every offspring.  The CR
 modes trigger at ``pool_trigger_size``, enough training pairs for the
-contrastive ranking network, and resolve half of each generation: the top
-scored against a fixed zero reference, with one resampling when the
-offspring look worse than the parents ("cr_no_resample" never resamples),
-or a uniformly random half ("cr_no_net", which keeps no pool after the
-switch).  Whenever the pool refills to the trigger, ``retrain`` trains a
+contrastive ranking network, and every gated mode resolves the same
+``ceil(N_u/2)`` offspring of each generation: ``pgr`` ranks them with the
+scorer it is handed, the network against a fixed zero reference, and
+resamples once when they look worse than the parents ("cr_no_resample"
+never does), and "cr_no_net" draws them at random and keeps no pool after
+the switch.  Whenever the pool refills to the trigger, ``retrain`` trains a
 fresh network on it and the pool is emptied.
 """
 
@@ -58,24 +59,25 @@ def retrain(pool, params: RankNetParams, rng):
         return params, acc  # keep the previous network generation
 
 
-def pgr(params, P_u, variation, allow_resample=True):
+def pgr(score, P_u, variation, size, allow_resample=True):
     """Population generation with ranking and resampling.
 
-    The current network scores the parents ``P_u`` and the offspring x_u
-    vectors that ``variation`` draws.  When even the best offspring scores
-    below the best parent, one more batch is drawn and scored alongside.
-    Returns the ceil(len(P_u) / 2) top-scoring offspring, ties in the order
-    drawn, and whether resampling fired.
+    ``score`` maps a list of upper points to their scores, higher better,
+    and scores the parents ``P_u`` and each batch of offspring x_u vectors
+    that ``variation`` draws.  When even the best offspring scores below the
+    best parent, one more batch is drawn and scored alongside.  Returns the
+    ``size`` top-scoring offspring, ties in the order drawn, and whether
+    resampling fired.
     """
-    parent_scores = ranking_scores(params, [ind.x_u for ind in P_u])
+    parent_scores = score([ind.x_u for ind in P_u])
     offspring = variation()
-    scores = ranking_scores(params, offspring)
+    scores = score(offspring)
     resampled = allow_resample and bool(scores.max() < parent_scores.max())
     if resampled:
         extra = variation()
         offspring = [*offspring, *extra]
-        scores = np.concatenate([scores, ranking_scores(params, extra)])
-    order = np.argsort(-scores, kind="stable")[:math.ceil(len(P_u) / 2)]
+        scores = np.concatenate([scores, score(extra)])
+    order = np.argsort(-scores, kind="stable")[:size]
     return [offspring[i] for i in order], resampled
 
 
@@ -96,6 +98,7 @@ def run_single(cfg, seed):
                                     normalizer=Normalizer(p.upper_bounds))
         trigger = pool_trigger_size(params)
 
+    size = math.ceil(cfg.upper / 2)  # the offspring a gated generation resolves
     pool = list(run.start())
     model_acc_history = []
     resamplings = 0
@@ -110,8 +113,7 @@ def run_single(cfg, seed):
             run.generation(run.variation())
         elif cfg.mode == "cr_no_net":
             candidates = run.variation()
-            chosen = run.rng.choice(len(candidates), size=math.ceil(len(candidates) / 2),
-                                    replace=False)
+            chosen = run.rng.choice(len(candidates), size=size, replace=False)
             run.generation([candidates[i] for i in chosen])
         else:
             if len(pool) >= trigger:
@@ -119,8 +121,9 @@ def run_single(cfg, seed):
                 pool = []
                 if acc is not None:
                     model_acc_history.append(acc)
-            selected, resampled = pgr(params, run.P_u, run.variation,
-                                      allow_resample=(cfg.mode != "cr_no_resample"))
+            # the scorer looks ranking_scores up at each call, where bench/tracer.py wraps it
+            selected, resampled = pgr(lambda xs: ranking_scores(params, xs), run.P_u, run.variation,
+                                      size, allow_resample=(cfg.mode != "cr_no_resample"))
             resamplings += int(resampled)
             pool.extend(run.generation(selected))
         stop_reason = run.stop_reason()

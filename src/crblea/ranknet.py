@@ -85,7 +85,7 @@ class RankNetParams:
     named weight (``W_psi`` ... ``b3``) is a view of its part of ``theta``,
     so writing into either changes both.  ``normalizer`` maps upper points to
     the network's inputs (by default the unit box, which leaves them bitwise
-    as they are); every function here that takes points maps them through it.
+    as they are); every public function here that takes points maps them through it.
     """
 
     def __init__(self, m, n, q, theta, psi_relu=True, generation_id=0, normalizer=None):
@@ -261,11 +261,12 @@ def pdp(pool) -> PairDataset:
     return PairDataset(X, row[first], row[second], labels)
 
 
-def _loss_and_grads(params, dataset: PairDataset):
-    """The mean BCE over ``dataset`` and its gradient, laid out as
-    ``params.theta``; a non-finite loss raises TrainingDivergenceError."""
+def _loss_and_grads(params, X, dataset: PairDataset):
+    """The mean BCE over ``dataset``, whose rows ``dataset.X`` map to the
+    network inputs ``X``, and its gradient, laid out as ``params.theta``; a
+    non-finite loss raises TrainingDivergenceError."""
     labels = dataset.labels
-    S, cache = _forward_cached(params, params.normalizer(dataset.X))
+    S, cache = _forward_cached(params, X)
     d = S.take(dataset.ia) - S.take(dataset.ib)
     # softplus(+-d) = log1p(e) + max(+-d, 0) with e = exp(-|d|) <= 1, finite
     # for any finite d
@@ -292,11 +293,12 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
     if len(dataset) == 0:
         raise ContractViolationError("cannot train on an empty dataset")
     out = params.copy()
+    X = out.normalizer(dataset.X)  # the map and the points hold for the whole call
     adam_m = adam_v = np.zeros_like(out.theta)  # rebound each step, never written into
     best_loss = math.inf
     since_improvement = 0
     for t in range(1, epochs + 1):
-        loss, grads = _loss_and_grads(out, dataset)
+        loss, grads = _loss_and_grads(out, X, dataset)
         out.loss_curve.append(loss)
         if loss < best_loss - TRAIN_STOP_EPS:
             best_loss = loss
@@ -311,7 +313,7 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
         out.theta -= (lr * (adam_m / (1 - ADAM_BETA1**t))
                       / (np.sqrt(adam_v / (1 - ADAM_BETA2**t)) + ADAM_EPS))
     else:  # the epoch budget ran out: the loss after the last step
-        loss, _ = _loss_and_grads(out, dataset)
+        loss, _ = _loss_and_grads(out, X, dataset)
     out.loss_curve.append(loss)  # the final loss
     out.generation_id += 1
     return out

@@ -13,6 +13,7 @@ ACC_FLOOR = 1e-6
 BETTER = "+"
 EQUIVALENT = "≈"
 WORSE = "-"
+ALPHA = 0.05  # two-sided significance level of wilcoxon_ranksum
 
 
 @dataclass
@@ -114,8 +115,8 @@ def _ranksum_pvalue_exact(a, b):
     return count / total
 
 
-def wilcoxon_ranksum(a, b, alpha=0.05):
-    """Two-sided rank-sum comparison returning "+", "≈", or "-".
+def wilcoxon_ranksum(a, b):
+    """Two-sided rank-sum comparison at level ``ALPHA``: "+", "≈", or "-".
 
     "+" means ``b`` (the variant) is significantly better, i.e. has the
     smaller median; "-" the opposite; "≈" no significant difference.  Small
@@ -131,7 +132,7 @@ def wilcoxon_ranksum(a, b, alpha=0.05):
         p = _ranksum_pvalue_exact(a, b)
     else:
         p = _ranksum_pvalue_normal(a, b)
-    if p >= alpha:
+    if p >= ALPHA:
         return EQUIVALENT
     med_a, med_b = statistics.median(a), statistics.median(b)
     if med_b < med_a:

@@ -1,5 +1,6 @@
 """Resource-allocation framework: retraining, training pools, gating, full runs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -165,108 +166,58 @@ class TestTrainingPools:
             assert record.pool_trigger <= len(pool) < record.pool_trigger + self.N_U
 
 
-class FixedScores:
-    """Deterministic stand-in for the network scoring used by pgr; it
-    receives the upper points themselves."""
+def gate(parent_scores, batches, size, allow_resample=True):
+    """pgr with a point's first coordinate as its score, on parents and on
+    offspring batches given by their scores; returns the draw indices of the
+    offspring it keeps and whether resampling fired."""
+    parents = [evaluated([s, -1.0], 0.0) for s in parent_scores]
+    drawn, index = iter(batches), itertools.count()
 
-    def __init__(self, mapping):
-        self.mapping = mapping  # x[0] value -> score
+    def variation():
+        return [np.array([s, next(index)]) for s in next(drawn)]
 
-    def __call__(self, params, X):
-        return np.array([self.mapping[round(float(x[0]), 6)] for x in X])
-
-
-PARENT_X0 = 100.0  # parents sit at x >= 100, apart from every offspring key
-
-
-def patch_scores(monkeypatch, offspring, parents):
-    """Patch the network to score offspring x -> ``offspring[x]`` and the
-    i-th returned parent -> ``parents[i]``."""
-    mapping = {**offspring, **{PARENT_X0 + i: s for i, s in enumerate(parents)}}
-    monkeypatch.setattr(crf, "ranking_scores", FixedScores(mapping))
-    return [evaluated([PARENT_X0 + i] * 2, float(i)) for i in range(len(parents))]
-
-
-def rows(*xs):
-    return [[x, x] for x in xs]
+    kept, resampled = pgr(lambda xs: np.array([x[0] for x in xs]), parents, variation, size,
+                          allow_resample)
+    return [int(x[1]) for x in kept], resampled
 
 
 class TestPgr:
-    NET = RankNetParams.init(2, 2, 2, np.random.default_rng(0))
+    def test_returns_the_size_top_scoring(self):
+        for size in range(1, 6):
+            kept = [4, 3, 2, 1, 0][:size]
+            assert gate([0.1] * 5, [[0.0, 1.0, 2.0, 3.0, 4.0]], size) == (kept, False)
 
-    def variation_factory(self, batches):
-        batches = iter(batches)
-
-        def variation():
-            return list(np.array(rows(*next(batches)), dtype=float))
-
-        return variation
-
-    def test_returns_ceil_half(self, monkeypatch):
-        parents = patch_scores(monkeypatch, {float(i): float(i) for i in range(10)}, [0.1] * 5)
-        variation = self.variation_factory([[0.0, 1.0, 2.0, 3.0, 4.0]])
-        kept, resampled = pgr(self.NET, parents, variation)
-        assert len(kept) == math.ceil(5 / 2) == 3
-        assert not resampled
-        assert np.array(kept).tolist() == rows(4.0, 3.0, 2.0)
-
-    def test_no_resample_when_offspring_beat_parents(self, monkeypatch):
-        parents = patch_scores(monkeypatch, {1.0: 0.9, 2.0: 0.2, 3.0: 0.1, 4.0: 0.1},
-                               [0.5, 0.4, 0.3, 0.2])
-        variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0]])
-        kept, resampled = pgr(self.NET, parents, variation)
-        assert not resampled and np.array(kept).tolist() == rows(1.0, 2.0)
+    def test_no_resample_when_offspring_beat_parents(self):
+        assert gate([0.5, 0.4, 0.3, 0.2], [[0.9, 0.2, 0.1, 0.1]], 2) == ([0, 1], False)
 
     @pytest.mark.parametrize("best_parent, resamples", [(0.95, True), (0.85, False)])
-    def test_the_network_score_of_the_parents_decides(self, monkeypatch, best_parent,
-                                                      resamples):
-        # the same offspring, and only the network's score of one parent
-        # differs: resampling fires iff it tops every offspring
-        parents = patch_scores(monkeypatch, {
-            1.0: 0.5, 2.0: 0.9, 3.0: 0.6, 4.0: 0.7,
-            5.0: 0.99, 6.0: 0.0, 7.0: 0.0, 8.0: 0.0,
-        }, [0.1, best_parent, 0.2, 0.3])
-        variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-        kept, resampled = pgr(self.NET, parents, variation)
+    def test_the_network_score_of_the_parents_decides(self, best_parent, resamples):
+        # the same offspring, and only the score of one parent differs:
+        # resampling fires iff it tops every offspring
+        kept, resampled = gate([0.1, best_parent, 0.2, 0.3],
+                               [[0.5, 0.9, 0.6, 0.7], [0.99, 0.0, 0.0, 0.0]], 2)
         assert resampled is resamples
-        assert np.array(kept).tolist() == (rows(5.0, 2.0) if resamples else rows(2.0, 4.0))
+        assert kept == ([4, 1] if resamples else [1, 3])
 
-    def test_single_resample_merges_both_batches(self, monkeypatch):
-        parents = patch_scores(monkeypatch, {
-            1.0: 0.10, 2.0: 0.20, 3.0: 0.05, 4.0: 0.01,  # first batch, all poor
-            5.0: 0.90, 6.0: 0.15, 7.0: 0.01, 8.0: 0.02,  # resampled batch
-        }, [0.5, 0.4, 0.3, 0.2])
-        variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0],
-                                            [5.0, 6.0, 7.0, 8.0]])
-        kept, resampled = pgr(self.NET, parents, variation)
-        assert resampled
-        assert np.array(kept).tolist() == rows(5.0, 2.0)
+    def test_single_resample_merges_both_batches(self):
+        batches = [[0.10, 0.20, 0.05, 0.01],  # first batch, all poor
+                   [0.90, 0.15, 0.01, 0.02]]  # resampled batch
+        assert gate([0.5, 0.4, 0.3, 0.2], batches, 2) == ([4, 1], True)
 
-    def test_resample_disabled(self, monkeypatch):
-        parents = patch_scores(monkeypatch, {1.0: 0.1, 2.0: 0.05, 3.0: 0.01, 4.0: 0.0},
-                               [0.5, 0.4, 0.3, 0.2])
-        variation = self.variation_factory([[1.0, 2.0, 3.0, 4.0]])
-        kept, resampled = pgr(self.NET, parents, variation, allow_resample=False)
-        assert not resampled and np.array(kept).tolist() == rows(1.0, 2.0)
+    def test_resample_disabled(self):
+        assert gate([0.5, 0.4, 0.3, 0.2], [[0.1, 0.05, 0.01, 0.0]], 2,
+                    allow_resample=False) == ([0, 1], False)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_one_sort_equals_sorting_each_batch(self, monkeypatch, seed):
+    def test_one_sort_equals_sorting_each_batch(self, seed):
         # pgr used to keep the top k of the first batch and then re-sort
         # those k with the resampled batch; scores drawn from three levels
         # tie at the k-th score within and across the batches
-        rng = np.random.default_rng(seed)
-        levels = rng.choice([0.1, 0.2, 0.3], size=10)
-        parents = patch_scores(monkeypatch, {float(i): s for i, s in enumerate(levels)},
-                               [0.5, 0.4, 0.3, 0.2, 0.1, 0.0])
-        batches = [[0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0, 9.0]]
-
-        def two_sorts(first, second, k):
-            by_score = lambda xs: sorted(xs, key=lambda x: -levels[int(x)])  # noqa: E731
-            return by_score(by_score(first)[:k] + second)[:k]
-
-        kept, resampled = pgr(self.NET, parents, self.variation_factory(batches))
-        assert resampled
-        assert np.array(kept).tolist() == rows(*two_sorts(*batches, 3))
+        levels = np.random.default_rng(seed).choice([0.1, 0.2, 0.3], size=10)
+        by_score = lambda ids: sorted(ids, key=lambda i: -levels[i])  # noqa: E731
+        two_sorts = by_score(by_score(range(5))[:3] + list(range(5, 10)))[:3]
+        kept, resampled = gate([0.5, 0.4, 0.3, 0.2, 0.1, 0.0], [levels[:5], levels[5:]], 3)
+        assert resampled and kept == two_sorts
 
 
 class TestFullRun:
@@ -306,7 +257,7 @@ class TestFullRun:
         assert len(record.model_acc_history) <= max(0, record.trainings_done - 1)
 
 
-def capped_config(n_u=6):
+def capped_config(n_u=6, mode="cr"):
     """A config whose lower-level tasks always run to the exact FE cap.
 
     The lower stagnation window never fires (epsilon is tiny and the
@@ -321,18 +272,20 @@ def capped_config(n_u=6):
         lower_var_eps=1e-300,
         target_acc=1e-300,
     )
-    return HarnessConfig(problem="tq", mode="cr", upper=n_u, termination=rule)
+    return HarnessConfig(problem="tq", mode=mode, upper=n_u, termination=rule)
 
 
-def test_lower_fe_cap_halves_after_transition():
-    n_u = 6
-    record = run_single(capped_config(n_u), 0)
-    assert record.trainings_done >= 1
+@pytest.mark.parametrize("n_u", [6, 5])
+@pytest.mark.parametrize("mode", ["cr", "cr_no_net", "cr_no_resample"])
+def test_lower_fe_cap_halves_after_transition(mode, n_u):
+    record = run_single(capped_config(n_u, mode), 0)
+    if mode != "cr_no_net":
+        assert record.trainings_done >= 1
     deltas = [b[0] - a[0] for a, b in zip(record.trace, record.trace[1:])]
     # warm-up generation: N_u tasks of exactly 40 lower FEs + N_u upper FEs;
-    # allocated generation: N_u/2 tasks -> exactly half the lower-FE spend
-    full = n_u * 40 + n_u
-    half = (n_u // 2) * 40 + n_u // 2
+    # allocated generation: every gated mode resolves ceil(N_u/2) offspring
+    k = math.ceil(n_u / 2)
+    full, half = n_u * 40 + n_u, k * 40 + k
     assert set(deltas) <= {full, half}
     assert half in deltas
     first_half = deltas.index(half)

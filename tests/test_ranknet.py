@@ -102,9 +102,6 @@ def test_every_entry_point_maps_upper_points_through_the_networks_own_map():
     assert np.array_equal(ranking_scores(params, ds.X), ranking_scores(twin, mapped.X))
     assert pair_forward(params, *ds.X[:2]) == pair_forward(twin, *mapped.X[:2])
     assert model_accuracy(params, ds) == model_accuracy(twin, mapped)
-    loss, grads = _loss_and_grads(params, ds)
-    twin_loss, twin_grads = _loss_and_grads(twin, mapped)
-    assert loss == twin_loss and np.array_equal(grads, twin_grads)
     assert train(params, ds, epochs=5).loss_curve == train(twin, mapped, epochs=5).loss_curve
 
 
@@ -126,7 +123,8 @@ def test_pair_loss_matches_per_pair_evaluation():
     # mean BCE over every pair scored on its own.
     params = fresh_params()
     pool = make_pool(np.random.default_rng(1).normal(size=7))
-    loss, _ = _loss_and_grads(params, pdp(pool))
+    ds = pdp(pool)
+    loss, _ = _loss_and_grads(params, params.normalizer(ds.X), ds)
     assert loss == pytest.approx(pair_loop_loss(params, pool), rel=1e-12)
 
 
@@ -143,13 +141,13 @@ def test_duplicate_points_share_one_row():
     assert np.array_equal(ds.X, np.unique(rows, axis=0))
 
     params = fresh_params(seed=13)
-    loss, grads = _loss_and_grads(params, ds)
+    loss, grads = _loss_and_grads(params, params.normalizer(ds.X), ds)
     assert loss == pytest.approx(pair_loop_loss(params, pool), rel=1e-12)
     # the same pairs over one row per pool member, duplicates kept apart
     i, j = np.nonzero(~np.eye(N, dtype=bool))
     F = np.array([ind.F for ind in pool])
     copies = PairDataset(rows, i, j, (np.sign(F[j] - F[i]) + 1.0) / 2.0)
-    copy_loss, copy_grads = _loss_and_grads(params, copies)
+    copy_loss, copy_grads = _loss_and_grads(params, params.normalizer(rows), copies)
     assert copy_loss == pytest.approx(loss, rel=1e-12)
     assert np.allclose(grads, copy_grads, rtol=1e-10, atol=1e-15)
 
@@ -233,22 +231,23 @@ class TestPairForward:
 
 def numeric_gradients(params, dataset, eps=1e-6):
     # central differences on each entry of theta, which every weight array views
+    X = params.normalizer(dataset.X)
     theta = params.theta
     grads = np.zeros_like(theta)
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + eps
-        lp, _ = _loss_and_grads(params, dataset)
+        lp, _ = _loss_and_grads(params, X, dataset)
         theta[i] = orig - eps
-        lm, _ = _loss_and_grads(params, dataset)
+        lm, _ = _loss_and_grads(params, X, dataset)
         theta[i] = orig
         grads[i] = (lp - lm) / (2 * eps)
     return grads
 
 
-def gradient_relative_error(seed, m=2, n=2, q=3, batch=6):
+def gradient_relative_error(seed, psi_relu=True, m=2, n=2, q=3, batch=6):
     rng = np.random.default_rng(seed)
-    params = RankNetParams.init(m, n, q, rng)
+    params = RankNetParams.init(m, n, q, rng, psi_relu=psi_relu)
     # jitter every parameter (biases start at zero, which parks whole ReLU
     # rows exactly on the kink where no gradient check can succeed)
     for name in _PARAM_NAMES:
@@ -258,7 +257,7 @@ def gradient_relative_error(seed, m=2, n=2, q=3, batch=6):
     ia, ib = rng.integers(0, batch, (2, batch))
     labels = rng.choice([0.0, 0.5, 1.0], size=batch)
     ds = PairDataset(X, ia, ib, labels)
-    _, a = _loss_and_grads(params, ds)
+    _, a = _loss_and_grads(params, params.normalizer(X), ds)
     nmr = numeric_gradients(params, ds)
     # compare whole gradient vectors: per-block normalization misreads
     # finite-difference noise on identically-zero blocks (dead ReLU rows)
@@ -266,9 +265,10 @@ def gradient_relative_error(seed, m=2, n=2, q=3, batch=6):
     return np.max(np.abs(a - nmr)) / max(np.max(np.abs(a)), np.max(np.abs(nmr)), 1e-8)
 
 
-def test_gradients_match_finite_differences():
+@pytest.mark.parametrize("psi_relu", [True, False])  # False: a linear mapping layer
+def test_gradients_match_finite_differences(psi_relu):
     for seed in range(3):
-        assert gradient_relative_error(seed) <= 1e-4
+        assert gradient_relative_error(seed, psi_relu) <= 1e-4
 
 
 def softplus(t):
@@ -291,7 +291,7 @@ def test_loss_at_zero_and_saturated_score_gaps():
     labels = np.array([1.0, 0.5, 1.0, 0.0, 0.0, 1.0, 0.5, 0.5])
     d = [0.0, 0.0, 1000.0, 1000.0, -1000.0, -1000.0, 1000.0, -1000.0]
     sigmoid = {0.0: 0.5, 1000.0: 1.0, -1000.0: 0.0}
-    loss, grads = _loss_and_grads(params, PairDataset(X, ia, ib, labels))
+    loss, grads = _loss_and_grads(params, X, PairDataset(X, ia, ib, labels))
 
     expected = np.mean([l * softplus(-t) + (1.0 - l) * softplus(t) for l, t in zip(labels, d)])
     assert math.isfinite(loss) and loss == pytest.approx(expected, rel=1e-12)
@@ -330,11 +330,12 @@ def test_train_equals_adam_on_each_weight_array():
     scale_init_to_batch(params, ds.X[ds.ia], rng)
     epochs, lr = 30, 0.1
     ref = params.copy()
+    X = ref.normalizer(ds.X)
     m = {k: np.zeros_like(getattr(ref, k)) for k in _PARAM_NAMES}
     v = {k: np.zeros_like(getattr(ref, k)) for k in _PARAM_NAMES}
     curve = []
     for t in range(1, epochs + 1):
-        loss, flat = _loss_and_grads(ref, ds)
+        loss, flat = _loss_and_grads(ref, X, ds)
         grads = {k: flat[sl].reshape(shape) for k, sl, shape in _layout(2, 3, 6)}
         curve.append(loss)
         for k in _PARAM_NAMES:
@@ -343,7 +344,7 @@ def test_train_equals_adam_on_each_weight_array():
             m_hat = m[k] / (1 - ADAM_BETA1**t)
             v_hat = v[k] / (1 - ADAM_BETA2**t)
             setattr(ref, k, getattr(ref, k) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    curve.append(_loss_and_grads(ref, ds)[0])
+    curve.append(_loss_and_grads(ref, X, ds)[0])
 
     trained = train(params, ds, epochs=epochs, lr=lr, stop_patience=epochs + 1)
     assert trained.loss_curve == curve
