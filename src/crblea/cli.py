@@ -25,7 +25,7 @@ import time
 
 from .config import MODES, HarnessConfig, harness_config_from_dict
 from .crframework import run_single
-from .errors import ConfigurationError, CrbleaError
+from .errors import ConfigurationError
 from .problems import get_problem, problem_names
 from .stats import (AGGREGATE_FIELDS, RunRecord, accuracy, aggregate, resource_saving_rate,
                     wilcoxon_ranksum)
@@ -161,15 +161,14 @@ def cmd_suite(config_dir, jobs=1, out_dir=None):
     for name in files:
         path = os.path.join(config_dir, name)
         try:
-            with open(path) as fh:
-                data = json.load(fh)
+            data = _read_json(path)
             if not isinstance(data, dict) or "base" not in data or "variant" not in data:
                 raise ConfigurationError(f"{name}: suite configs need 'base' and 'variant' sections")
             cfg_base = harness_config_from_dict(data["base"], path=f"{name}.base")
             cfg_variant = harness_config_from_dict(data["variant"], path=f"{name}.variant")
             rows.append(cmd_compare(cfg_base, cfg_variant, jobs=jobs,
                                     out_dir=os.path.join(out_dir, os.path.splitext(name)[0])))
-        except (CrbleaError, OSError, ValueError) as exc:  # reported; the suite goes on
+        except ConfigurationError as exc:  # reported; the suite goes on
             errors[name] = f"{type(exc).__name__}: {exc}"
     os.makedirs(out_dir, exist_ok=True)
     report = {"rows": rows, "errors": errors}
@@ -183,15 +182,20 @@ def cmd_suite(config_dir, jobs=1, out_dir=None):
     return report
 
 
-def _load_config(path, overrides):
+def _read_json(path):
+    """The JSON value in the file at ``path``; a file that cannot be read or
+    parsed raises ConfigurationError."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
-    cfg = harness_config_from_dict(data, path=os.path.basename(path))
+
+
+def _load_config(path, overrides):
+    cfg = harness_config_from_dict(_read_json(path), path=os.path.basename(path))
     return _apply_overrides(cfg, overrides)
 
 

@@ -140,25 +140,25 @@ def environmental_selection(pool, n_keep):
         raise ContractViolationError(f"selection pool of {len(pool)} < {n_keep}")
     for ind in pool:
         ind.require_evaluated()
-    order = sorted(range(len(pool)), key=lambda i: _ff_key(pool[i].F, pool[i].violation))
-    return [pool[i] for i in order[:n_keep]]
+    return sorted(pool, key=lambda ind: _ff_key(ind.F, ind.violation))[:n_keep]
 
 
 def check_upper_termination(ledger: EvalLedger, best_history, rule: TerminationRule,
-                            known_opt=None, best_feasible=True):
+                            known_opt, best_feasible):
     """Return a stop reason string, or None to continue.
 
     ``best_history`` holds the elitist upper objective value after each upper
     FE; the stagnation window is measured over the trailing
-    ``fes_u_var_window`` upper FEs.
+    ``fes_u_var_window`` upper FEs.  ``known_opt`` is the problem's
+    ``(F, f)`` optimum; the run hits its target only while the best
+    individual (``best_feasible``) is feasible.
     """
     if ledger.fes_u >= rule.fes_u_max:
         return "budget"
     if _stalled(best_history, rule.fes_u_var_window, rule.upper_var_eps):
         return "stagnation"
-    if known_opt is not None and best_history and best_feasible:
-        if abs(best_history[-1] - known_opt[0]) < rule.target_acc:
-            return "target"
+    if best_history and best_feasible and abs(best_history[-1] - known_opt[0]) < rule.target_acc:
+        return "target"
     return None
 
 

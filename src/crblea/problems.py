@@ -63,8 +63,11 @@ class ProblemSpec:
 
 @dataclass
 class EvalLedger:
-    """The upper- and lower-level function evaluations of one run, counted
-    by ``evaluate_upper`` and ``evaluate_lower``."""
+    """The upper- and lower-level function evaluations of one run.
+
+    ``evaluate_upper`` adds one to ``fes_u`` and ``evaluate_lower`` one to
+    ``fes_l``; ``fes_t`` is their sum.
+    """
 
     fes_u: int = 0
     fes_l: int = 0
@@ -72,12 +75,6 @@ class EvalLedger:
     @property
     def fes_t(self):
         return self.fes_u + self.fes_l
-
-    def count_upper(self):
-        self.fes_u += 1
-
-    def count_lower(self):
-        self.fes_l += 1
 
 
 def _check_point(p: ProblemSpec, x_u, x_l):
@@ -119,7 +116,7 @@ def evaluate_upper(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
     """
     x_u, x_l = _check_point(p, x_u, x_l)
     F, G = p.upper(x_u, x_l)
-    ledger.count_upper()
+    ledger.fes_u += 1
     return _checked(p, "upper", F, G, x_u, x_l)
 
 
@@ -128,7 +125,7 @@ def evaluate_lower(p: ProblemSpec, x_u, x_l, ledger: EvalLedger):
     returns ``(f, g, violation)`` as ``evaluate_upper`` does."""
     x_u, x_l = _check_point(p, x_u, x_l)
     f, g = p.lower(x_u, x_l)
-    ledger.count_lower()
+    ledger.fes_l += 1
     return _checked(p, "lower", f, g, x_u, x_l)
 
 

@@ -7,12 +7,13 @@ sized like the lower-level decision vector (emulating the reaction mapping
 from upper to lower solutions) before two hidden layers.
 
 Training is full-batch Adam on binary cross-entropy over all ordered pairs of
-an evaluated solution pool.  Scoring a whole population uses a fixed zero
-reference for the second branch, which induces a total preorder (no
-pairwise-comparison cycles are possible).
+an evaluated solution pool.  Its settings are the module constants
+``TRAIN_EPOCHS``, ``TRAIN_PATIENCE``, ``TRAIN_STOP_EPS`` and ``ADAM_LR``.
+Scoring a whole population uses a fixed zero reference for the second
+branch, which induces a total preorder (no pairwise-comparison cycles are
+possible).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_LR = 0.1
+TRAIN_EPOCHS = 200  # most Adam steps of one train call
+TRAIN_PATIENCE = 20  # epochs without a TRAIN_STOP_EPS improvement before train stops
 TRAIN_STOP_EPS = 1e-5  # least loss improvement that resets train's patience count
 
 
@@ -65,7 +68,6 @@ class Normalizer:
 _PARAM_NAMES = ("W_psi", "b_psi", "W1", "b1", "W2", "b2", "w3", "b3")
 
 
-@functools.cache
 def _layout(m, n, q):
     """``(name, slice, shape)`` of every weight array in the flat vector
     ``theta``, in ``_PARAM_NAMES`` order."""
@@ -222,16 +224,12 @@ def ranking_scores(params, X):
     return _sigmoid(subnet_batch(params, params.normalizer(X)))
 
 
-@functools.cache
 def _pair_members(N):
     """Pool indices of the first and of the second member of every ordered
     pair of N points: pair {i, j} (i < j, row-major) gives [x_i, x_j] and
     then [x_j, x_i]."""
     i, j = np.triu_indices(N, 1)
-    first, second = np.stack([i, j], axis=1).ravel(), np.stack([j, i], axis=1).ravel()
-    first.setflags(write=False)  # one cached pair serves every caller
-    second.setflags(write=False)
-    return first, second
+    return np.stack([i, j], axis=1).ravel(), np.stack([j, i], axis=1).ravel()
 
 
 def pdp(pool) -> PairDataset:
@@ -281,12 +279,12 @@ def _loss_and_grads(params, X, dataset: PairDataset):
     return loss, _backward(params, cache, dS)
 
 
-def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
-          stop_patience=20) -> RankNetParams:
+def train(params: RankNetParams, dataset: PairDataset) -> RankNetParams:
     """Full-batch Adam on the pair dataset; returns updated parameters.
 
-    The Adam moments start at zero on every call.  Stops early once the best
-    loss has not improved by ``TRAIN_STOP_EPS`` for ``stop_patience`` epochs.  A
+    The Adam moments start at zero on every call.  Runs at most
+    ``TRAIN_EPOCHS`` steps of size ``ADAM_LR``, and stops early once the best
+    loss has not improved by ``TRAIN_STOP_EPS`` for ``TRAIN_PATIENCE`` epochs.  A
     non-finite loss raises TrainingDivergenceError (callers keep the previous
     parameters).
     """
@@ -297,7 +295,7 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
     adam_m = adam_v = np.zeros_like(out.theta)  # rebound each step, never written into
     best_loss = math.inf
     since_improvement = 0
-    for t in range(1, epochs + 1):
+    for t in range(1, TRAIN_EPOCHS + 1):
         loss, grads = _loss_and_grads(out, X, dataset)
         out.loss_curve.append(loss)
         if loss < best_loss - TRAIN_STOP_EPS:
@@ -305,12 +303,12 @@ def train(params: RankNetParams, dataset: PairDataset, epochs=200, lr=ADAM_LR,
             since_improvement = 0
         else:
             since_improvement += 1
-            if since_improvement >= stop_patience:
+            if since_improvement >= TRAIN_PATIENCE:
                 break  # the weights have not moved since this loss
         adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grads
         adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * (grads * grads)
         # in place: every named weight is a view of theta
-        out.theta -= (lr * (adam_m / (1 - ADAM_BETA1**t))
+        out.theta -= (ADAM_LR * (adam_m / (1 - ADAM_BETA1**t))
                       / (np.sqrt(adam_v / (1 - ADAM_BETA2**t)) + ADAM_EPS))
     else:  # the epoch budget ran out: the loss after the last step
         loss, _ = _loss_and_grads(out, X, dataset)

@@ -78,13 +78,12 @@ def _midranks(values):
     return ranks
 
 
-def _ranksum_pvalue_normal(a, b):
-    n1, n2 = len(a), len(b)
-    n = n1 + n2
-    pooled = list(a) + list(b)
-    ranks = _midranks(pooled)
-    R1 = sum(ranks[:n1])
-    U1 = R1 - n1 * (n1 + 1) / 2.0
+def _ranksum_pvalue_normal(pooled, ranks, n1):
+    """Two-sided normal-approximation p-value of the rank-sum statistic of
+    the first ``n1`` of ``pooled``, with tie and continuity correction."""
+    n = len(pooled)
+    n2 = n - n1
+    U1 = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
     mu = n1 * n2 / 2.0
     # tie correction on the variance
     tie_term = 0.0
@@ -99,11 +98,9 @@ def _ranksum_pvalue_normal(a, b):
     return 2.0 * (1.0 - 0.5 * (1.0 + math.erf(abs(z) / math.sqrt(2.0))))
 
 
-def _ranksum_pvalue_exact(a, b):
-    """Two-sided permutation p-value of the rank-sum statistic."""
-    n1 = len(a)
-    pooled = list(a) + list(b)
-    ranks = _midranks(pooled)
+def _ranksum_pvalue_exact(pooled, ranks, n1):
+    """Two-sided permutation p-value of the rank-sum statistic of the first
+    ``n1`` of ``pooled``."""
     observed = sum(ranks[:n1])
     mu = sum(ranks) * n1 / len(pooled)
     dev = abs(observed - mu)
@@ -122,16 +119,14 @@ def wilcoxon_ranksum(a, b):
     smaller median; "-" the opposite; "≈" no significant difference.  Small
     samples (both sides <= 8) use the exact permutation distribution,
     larger ones the normal approximation with tie and continuity correction.
+    Samples that all tie read p = 1, hence "≈", on either path.
     """
     a, b = list(a), list(b)
     if len(a) < 2 or len(b) < 2:
         raise ContractViolationError("wilcoxon_ranksum needs at least 2 samples per side")
-    if len(set(a) | set(b)) == 1:
-        return EQUIVALENT
-    if max(len(a), len(b)) <= 8:
-        p = _ranksum_pvalue_exact(a, b)
-    else:
-        p = _ranksum_pvalue_normal(a, b)
+    pooled = a + b
+    pvalue = _ranksum_pvalue_exact if max(len(a), len(b)) <= 8 else _ranksum_pvalue_normal
+    p = pvalue(pooled, _midranks(pooled), len(a))
     if p >= ALPHA:
         return EQUIVALENT
     med_a, med_b = statistics.median(a), statistics.median(b)

@@ -43,6 +43,14 @@ def protocol_config(problem, mode):
     return HarnessConfig(problem=problem, mode=mode, upper=UPPER_POP)
 
 
+def record_sha1(record):
+    """The sha1 of a RunRecord's JSON form, keys sorted: the digest every
+    golden pin and ``tests/_digests.txt`` line holds."""
+    import hashlib  # off the timed import of bench/setup_probe.py
+
+    return hashlib.sha1(json.dumps(record.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
 def _cache_path(problem, mode, seed):
     return os.path.join(CACHE_DIR, f"{problem}_{mode}_seed{seed}.json")
 

@@ -4,12 +4,11 @@ The records are the seed-0 protocol runs of every registered problem in the
 "nested" and "cr" modes (26), and short runs of every problem in all four
 modes at seeds 1 and 2 (104), the protocol with ``fes_u_max`` 150 and
 ``fes_l_max`` 120.  Each line reads ``problem mode seed run sha1``, where
-run is "protocol" or "short" and the sha1 is taken as
-``tests/test_golden.py`` takes it.  A change meant to keep
-every record prints the same lines before and after.  ``tests/_digests.txt``
-holds the lines of the committed records; ``--check`` prints the lines of
-this checkout, then names each one that differs from that file and exits 1
-if any does:
+run is "protocol" or "short" and the sha1 is ``_corpus.record_sha1`` of the
+record.  A change meant to keep every record prints the same lines before
+and after.  ``tests/_digests.txt`` holds the lines of the committed records;
+``--check`` prints the lines of this checkout, then names each one that
+differs from that file and exits 1 if any does:
 
     python3 tests/_digests.py --check
     python3 tests/_digests.py > tests/_digests.txt   # after a change meant to move records
@@ -18,8 +17,6 @@ The runs go to every core and take about 80 s on 2 cores (130 s on one).
 """
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 from dataclasses import replace
@@ -30,7 +27,7 @@ from crblea import TerminationRule  # noqa: E402
 from crblea.cli import execute_runs  # noqa: E402
 from crblea.config import MODES  # noqa: E402
 from crblea.problems import problem_names  # noqa: E402
-from _corpus import protocol_config  # noqa: E402
+from _corpus import protocol_config, record_sha1  # noqa: E402
 
 SHORT = TerminationRule(fes_u_max=150, fes_l_max=120)
 EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_digests.txt")
@@ -56,8 +53,7 @@ def main(argv=None):
     records = execute_runs([(cfg, seed) for _, cfg, seed in labelled], jobs=os.cpu_count() or 1)
     got = []
     for (label, cfg, seed), record in zip(labelled, records):
-        digest = hashlib.sha1(json.dumps(record.to_dict(), sort_keys=True).encode()).hexdigest()
-        got.append(f"{cfg.problem} {cfg.mode} {seed} {label} {digest}")
+        got.append(f"{cfg.problem} {cfg.mode} {seed} {label} {record_sha1(record)}")
         print(got[-1], flush=True)
     if not args.check:
         return 0

@@ -11,6 +11,7 @@ import pytest
 
 from crblea import cli
 from crblea.cli import main
+from crblea.errors import EvaluationError
 from crblea.problems import problem_names
 
 FAST_TERMINATION = {"fes_u_max": 60, "fes_u_var_window": 30,
@@ -321,7 +322,10 @@ def test_suite_keeps_each_pair_files_records_apart(tmp_path, capsys):
         assert len(json.load(fh)["rows"]) == 2
 
 
-def test_suite_lets_unexpected_errors_propagate(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, ValueError, OSError, EvaluationError])
+def test_suite_lets_unexpected_errors_propagate(tmp_path, monkeypatch, error):
+    """Only a pair file's bad config is reported in suite.json; an error of
+    the runs themselves stops the suite."""
     pair_dir = tmp_path / "pairs"
     pair_dir.mkdir()
     (pair_dir / "tq_pair.json").write_text(json.dumps({
@@ -329,10 +333,10 @@ def test_suite_lets_unexpected_errors_propagate(tmp_path, monkeypatch):
     }))
 
     def fail(*args, **kwargs):
-        raise RuntimeError("bug in compare")
+        raise error("bug in compare")
 
     monkeypatch.setattr(cli, "cmd_compare", fail)
-    with pytest.raises(RuntimeError, match="bug in compare"):
+    with pytest.raises(error, match="bug in compare"):
         main(["suite", "--config", str(pair_dir), "--out", str(tmp_path / "out")])
 
 
@@ -364,9 +368,10 @@ def test_missing_config_file(tmp_path, capsys):
 
 def test_invalid_config_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["run", "--config", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for content in (b"{not json", b"\xff\xfe{}"):  # the second is no UTF-8 text
+        bad.write_bytes(content)
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path, capsys):

@@ -9,7 +9,6 @@ protocol directory), or the acceptance criteria judge runs of older code.
 import os
 
 import _corpus
-from test_golden import _sha1
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_digests.txt")
 
@@ -22,5 +21,5 @@ def test_corpus_protocol_records_match_their_digests():
               for mode in ("nested", "cr")]
     assert len(corpus) == 20 and set(corpus) <= set(pinned)
     stale = [f"{problem}_{mode}_seed0" for problem, mode in corpus
-             if _sha1(_corpus.record_for(problem, mode, 0)) != pinned[problem, mode]]
+             if _corpus.record_sha1(_corpus.record_for(problem, mode, 0)) != pinned[problem, mode]]
     assert stale == []

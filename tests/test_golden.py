@@ -18,11 +18,7 @@ import pytest
 from crblea import EvalLedger, HarnessConfig, TerminationRule
 from crblea.cli import run_single
 from crblea.problems import evaluate_lower, evaluate_upper, get_problem, make_smd, problem_names
-from _corpus import CACHE_DIR, protocol_config
-
-
-def _sha1(record):
-    return hashlib.sha1(json.dumps(record.to_dict(), sort_keys=True).encode()).hexdigest()
+from _corpus import CACHE_DIR, protocol_config, record_sha1
 
 
 def _fresh_and_cached(problem, mode):
@@ -82,7 +78,7 @@ SHORT_RUNS = {
 @pytest.mark.parametrize("name", sorted(SHORT_RUNS))
 def test_short_run_record_sha1(name):
     cfg, digest = SHORT_RUNS[name]
-    assert _sha1(run_single(cfg, 0)) == digest
+    assert record_sha1(run_single(cfg, 0)) == digest
 
 
 # Short "cr" runs at upper populations that are not a multiple of 4:
@@ -105,7 +101,7 @@ ODD_POP_RUNS = {
 def test_odd_population_cr_record_sha1(problem, pop_size, seed):
     cfg = HarnessConfig(problem, mode="cr", upper=pop_size,
                         termination=TerminationRule(fes_u_max=600, fes_l_max=120))
-    assert _sha1(run_single(cfg, seed)) == ODD_POP_RUNS[problem, pop_size, seed]
+    assert record_sha1(run_single(cfg, seed)) == ODD_POP_RUNS[problem, pop_size, seed]
 
 
 # sha1 over (f, F, feasible, FEASIBLE, g, G) of 64 uniform points per problem.

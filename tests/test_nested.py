@@ -138,23 +138,23 @@ def test_environmental_selection_pool_too_small():
 
 
 class TestUpperTermination:
+    OPT = (0.0, 0.0)  # the (F, f) optimum; no history below reaches it
+
     def test_budget(self):
         ledger = EvalLedger(fes_u=2500)
-        assert check_upper_termination(ledger, [1.0], TerminationRule()) == "budget"
+        assert check_upper_termination(ledger, [1.0], TerminationRule(), self.OPT, True) == "budget"
 
     def test_stagnation(self):
         rule = TerminationRule(fes_u_var_window=10)
         history = [5.0] * 3 + [1.0] * 10
-        assert check_upper_termination(EvalLedger(), history, rule) == "stagnation"
-        assert check_upper_termination(EvalLedger(), history[:9], rule) is None
+        assert check_upper_termination(EvalLedger(), history, rule, self.OPT, True) == "stagnation"
+        assert check_upper_termination(EvalLedger(), history[:9], rule, self.OPT, True) is None
 
     def test_target(self):
         rule = TerminationRule()
-        assert check_upper_termination(
-            EvalLedger(), [5.0, 1e-8], rule, known_opt=(0.0, 0.0)) == "target"
+        assert check_upper_termination(EvalLedger(), [5.0, 1e-8], rule, self.OPT, True) == "target"
         # infeasible incumbents never trigger the target stop
-        assert check_upper_termination(
-            EvalLedger(), [1e-8], rule, known_opt=(0.0, 0.0), best_feasible=False) is None
+        assert check_upper_termination(EvalLedger(), [1e-8], rule, self.OPT, False) is None
 
 
 def test_resolve_keeps_the_elitist_history(monkeypatch):

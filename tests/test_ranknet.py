@@ -21,6 +21,7 @@ from crblea import (
     ranking_scores,
     train,
 )
+from crblea import ranknet
 from crblea.ranknet import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -102,7 +103,7 @@ def test_every_entry_point_maps_upper_points_through_the_networks_own_map():
     assert np.array_equal(ranking_scores(params, ds.X), ranking_scores(twin, mapped.X))
     assert pair_forward(params, *ds.X[:2]) == pair_forward(twin, *mapped.X[:2])
     assert model_accuracy(params, ds) == model_accuracy(twin, mapped)
-    assert train(params, ds, epochs=5).loss_curve == train(twin, mapped, epochs=5).loss_curve
+    assert train(params, ds).loss_curve == train(twin, mapped).loss_curve
 
 
 def pair_loop_loss(params, pool):
@@ -315,13 +316,13 @@ def test_training_separable_data():
     ds = pdp(pool)
     params = RankNetParams.init(2, 3, 8, rng)
     scale_init_to_batch(params, ds.X[ds.ia], rng)
-    trained = train(params, ds, epochs=200, lr=0.1)
+    trained = train(params, ds)
     assert trained.loss_curve[-1] < trained.loss_curve[0]
     assert model_accuracy(trained, ds) >= 0.95
     assert trained.generation_id == params.generation_id + 1
 
 
-def test_train_equals_adam_on_each_weight_array():
+def test_train_equals_adam_on_each_weight_array(monkeypatch):
     # train() runs Adam over one flat vector of all weights; it must give
     # what Adam run on each weight array separately gives
     rng = np.random.default_rng(4)
@@ -329,6 +330,9 @@ def test_train_equals_adam_on_each_weight_array():
     params = RankNetParams.init(2, 3, 6, rng)
     scale_init_to_batch(params, ds.X[ds.ia], rng)
     epochs, lr = 30, 0.1
+    monkeypatch.setattr(ranknet, "TRAIN_EPOCHS", epochs)
+    monkeypatch.setattr(ranknet, "TRAIN_PATIENCE", epochs + 1)  # no early stop
+    monkeypatch.setattr(ranknet, "ADAM_LR", lr)
     ref = params.copy()
     X = ref.normalizer(ds.X)
     m = {k: np.zeros_like(getattr(ref, k)) for k in _PARAM_NAMES}
@@ -346,7 +350,7 @@ def test_train_equals_adam_on_each_weight_array():
             setattr(ref, k, getattr(ref, k) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     curve.append(_loss_and_grads(ref, X, ds)[0])
 
-    trained = train(params, ds, epochs=epochs, lr=lr, stop_patience=epochs + 1)
+    trained = train(params, ds)
     assert trained.loss_curve == curve
     for k in _PARAM_NAMES:
         assert np.array_equal(getattr(trained, k), getattr(ref, k))
@@ -368,7 +372,7 @@ def test_train_bits_pinned():
     ds = pdp(pool)
     assert (len(ds.X), len(np.unique(F))) == (34, 24)
     scale_init_to_batch(params, ds.X[ds.ia], rng)
-    trained = train(params, ds, epochs=200, lr=0.1)
+    trained = train(params, ds)
     assert len(trained.loss_curve) == 163  # the early stop fired
     weights = np.concatenate([getattr(trained, k).ravel() for k in _PARAM_NAMES])
     assert (hashlib.sha1(np.array(trained.loss_curve).tobytes()).hexdigest()
@@ -396,7 +400,7 @@ def test_weights_stay_views_of_one_flat_vector():
     assert np.array_equal(copy.theta, params.theta)
     scale_init_to_batch(params, ds.X[ds.ia], rng)
     assert_flat_layout(params)
-    trained = train(params, ds, epochs=5)
+    trained = train(params, ds)
     assert_flat_layout(trained)
     assert not np.shares_memory(trained.theta, params.theta)
 
@@ -411,15 +415,17 @@ def test_training_divergence_raises():
     ds = PairDataset(np.array([[np.inf, np.inf], [0.0, 0.0]]), np.array([0, 1]), np.array([1, 0]),
                      np.array([1.0, 0.0]))
     with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergenceError):
-        train(fresh_params(), ds, epochs=5)
+        train(fresh_params(), ds)
 
 
-def test_training_divergence_after_the_last_step_raises():
+def test_training_divergence_after_the_last_step_raises(monkeypatch):
     # one epoch: the loss before the step is finite, the step at this lr
     # overflows the weights, and the final loss is not
     ds = pdp(make_pool(range(6)))
+    monkeypatch.setattr(ranknet, "TRAIN_EPOCHS", 1)
+    monkeypatch.setattr(ranknet, "ADAM_LR", 1e300)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergenceError):
-        train(fresh_params(), ds, epochs=1, lr=1e300)
+        train(fresh_params(), ds)
 
 
 def test_train_does_not_mutate_input_params():
@@ -427,7 +433,7 @@ def test_train_does_not_mutate_input_params():
     params = fresh_params(seed=9)
     before = {k: getattr(params, k).copy() for k in _PARAM_NAMES}
     ds = pdp(make_pool(range(6), rng=rng))
-    train(params, ds, epochs=10)
+    train(params, ds)
     for k in _PARAM_NAMES:
         assert np.array_equal(before[k], getattr(params, k))
 
@@ -458,7 +464,7 @@ class TestModelAccuracy:
         ds = pdp(pool)
         params = RankNetParams.init(2, 3, 8, rng)
         scale_init_to_batch(params, ds.X[ds.ia], rng)
-        trained = train(params, ds, epochs=300, lr=0.1)
+        trained = train(params, ds)
         acc = model_accuracy(trained, ds)
         assert acc >= 0.95
         # swapping branch inputs inverts every verdict
@@ -474,7 +480,7 @@ class TestModelAccuracy:
         ds = pdp(pool)
         params = RankNetParams.init(2, 3, 8, rng)
         scale_init_to_batch(params, ds.X[ds.ia], rng)
-        trained = train(params, ds, epochs=100, lr=0.1)
+        trained = train(params, ds)
         correct = total = 0
         for a in pool:
             for b in pool:

@@ -12,7 +12,8 @@ from crblea import (
     resource_saving_rate,
     wilcoxon_ranksum,
 )
-from crblea.stats import BETTER, EQUIVALENT, WORSE, _ranksum_pvalue_normal, config_fingerprint
+from crblea.stats import (BETTER, EQUIVALENT, WORSE, _midranks, _ranksum_pvalue_normal,
+                          config_fingerprint)
 from crblea.nested import TerminationRule
 
 
@@ -41,8 +42,12 @@ class TestResourceSavingRate:
 
 
 class TestWilcoxon:
-    def test_identical_samples_equivalent(self):
-        assert wilcoxon_ranksum([1.0] * 11, [1.0] * 11) == EQUIVALENT
+    # 3 per side takes the exact path, 11 the normal approximation; both
+    # read a p-value of 1 when every value ties
+    @pytest.mark.parametrize("size", [3, 11])
+    @pytest.mark.parametrize("value", [1.0, 1e-6, 48240])
+    def test_identical_samples_equivalent(self, size, value):
+        assert wilcoxon_ranksum([value] * size, [value] * size) == EQUIVALENT
 
     def test_clear_separation_small_sample(self):
         a = [10.0, 11.0, 12.0, 13.0, 14.0]
@@ -65,7 +70,8 @@ class TestWilcoxon:
         # medians are equal (both are 1 here)
         a = [1, 0, 1, 1, 1, 0, 2, 0, 0, 0, 3]
         b = [1, 1, 4, 2, 1, 3, 1, 1, 0, 3, 3]
-        assert _ranksum_pvalue_normal(a, b) == pytest.approx(0.0493, abs=1e-4)
+        pvalue = _ranksum_pvalue_normal(a + b, _midranks(a + b), len(a))
+        assert pvalue == pytest.approx(0.0493, abs=1e-4)
         assert wilcoxon_ranksum(a, b) == EQUIVALENT
 
     def test_too_few_samples(self):
